@@ -6,18 +6,10 @@ import (
 	"net"
 	"time"
 
-	"jarvis"
 	"jarvis/internal/device"
-	"jarvis/internal/replay"
-	"jarvis/internal/trace"
+	"jarvis/internal/env"
 	"jarvis/internal/wire"
 )
-
-// maxBatch caps how many already-buffered requests one lock acquisition
-// serves. Batching amortizes the state-lock handoff and the response
-// write; consecutive recommend requests inside a batch additionally share
-// one policy evaluation (the state cannot change between them).
-const maxBatch = 64
 
 // serveBinary runs the binary-protocol loop for one connection: verify the
 // two-byte hello, ack, then read frames — blocking for the first request
@@ -33,17 +25,17 @@ func (s *server) serveBinary(conn net.Conn, br *bufio.Reader) {
 		// falls back to JSON.
 		return
 	}
-	if err := conn.SetWriteDeadline(time.Now().Add(s.cfg.WriteTimeout)); err != nil {
+	if err := conn.SetWriteDeadline(time.Now().Add(writeTimeout)); err != nil {
 		return
 	}
 	if _, err := conn.Write(wire.AppendAck(nil)); err != nil {
 		return
 	}
 	r := wire.NewReader(br)
-	reqs := make([]wire.Request, 0, maxBatch)
+	reqs := make([]opRequest, 0, maxBatch)
 	out := make([]byte, 0, 4<<10)
 	for {
-		if err := conn.SetReadDeadline(time.Now().Add(s.cfg.IdleTimeout)); err != nil {
+		if err := conn.SetReadDeadline(time.Now().Add(idleTimeout)); err != nil {
 			return
 		}
 		frame, err := r.ReadFrame()
@@ -54,7 +46,7 @@ func (s *server) serveBinary(conn net.Conn, br *bufio.Reader) {
 		if err != nil {
 			return
 		}
-		reqs = append(reqs[:0], req)
+		reqs = append(reqs[:0], wireRequest(req))
 		for len(reqs) < maxBatch {
 			frame, ok, err := r.TryReadFrame()
 			if err != nil {
@@ -67,10 +59,10 @@ func (s *server) serveBinary(conn net.Conn, br *bufio.Reader) {
 			if err != nil {
 				return
 			}
-			reqs = append(reqs, req)
+			reqs = append(reqs, wireRequest(req))
 		}
 		out = s.handleBatch(reqs, out[:0])
-		if err := conn.SetWriteDeadline(time.Now().Add(s.cfg.WriteTimeout)); err != nil {
+		if err := conn.SetWriteDeadline(time.Now().Add(writeTimeout)); err != nil {
 			return
 		}
 		if _, err := conn.Write(out); err != nil {
@@ -84,193 +76,66 @@ func (s *server) serveBinary(conn net.Conn, br *bufio.Reader) {
 	}
 }
 
-// handleBatch serves one coalesced batch: admission control sees the whole
-// batch at once, the state lock is taken once, and responses are appended
-// into a single output buffer. Per-request telemetry, tracing, journaling,
-// and decision logging are identical to the JSON path.
-func (s *server) handleBatch(reqs []wire.Request, out []byte) []byte {
-	depth := s.inflight.Add(int64(len(reqs)))
-	defer s.inflight.Add(-int64(len(reqs)))
-	mQueueDepth.SetInt(depth)
+// wireRequest maps a binary request onto the op core's. Opcodes the
+// binary protocol does not define, promote's included, are unknown.
+func wireRequest(req wire.Request) opRequest {
+	o := opUnknown
+	if req.Op >= wire.OpState && req.Op <= wire.OpLearnState {
+		o = op(req.Op)
+	}
+	return opRequest{op: o, dev: int(req.Device), act: device.ActionID(req.Action)}
+}
+
+// handleBatch serves one coalesced batch through the op core and appends
+// the framed responses to out. Encoding runs under the state lock, into
+// the server's scratch buffers, so a steady-state batch allocates nothing.
+func (s *server) handleBatch(reqs []opRequest, out []byte) []byte {
 	if len(reqs) > 1 {
 		mWireCoalesced.Add(int64(len(reqs) - 1))
 	}
-	var t0 time.Time
-	if mRequestLatency.Enabled() {
-		t0 = time.Now()
-	}
-	s.mu.Lock()
-	// One minute-of-day per batch: requests coalesced into the same lock
-	// acquisition are served at the same instant, which is what makes
-	// consecutive recommend evaluations shareable.
-	minute := s.minuteOfDay(time.Now())
-	var rec jarvis.Decision
-	haveRec := false
-	for _, req := range reqs {
-		if c, ok := mBinRequests[req.Op]; ok {
-			c.Inc()
-		} else {
-			mRequestsUnknown.Inc()
-		}
-		sp := s.tracer.Start(binOpSpanName(req.Op))
-		if sp != nil {
-			sp.AnnotateInt("depth", depth)
-			sp.AnnotateInt("batch", int64(len(reqs)))
-		}
-		if req.Op == wire.OpEvent || req.Op == wire.OpCheckpoint {
-			// The environment (or the policy) is about to change; any
-			// memoized recommendation is stale.
-			haveRec = false
-		}
-		out = s.binDispatchLocked(req, depth, minute, sp, &rec, &haveRec, out)
-		if sp != nil {
-			sp.End()
-		}
-	}
-	s.mu.Unlock()
-	if !t0.IsZero() {
-		mRequestLatency.Observe(time.Since(t0))
-	}
+	s.serveOps(reqs, func(res *opResult) { out = s.appendWireResponse(out, res) })
 	return out
 }
 
-// binDispatchLocked serves one binary request under the state lock,
-// appending the framed response to out. rec/haveRec memoize the batch's
-// recommend evaluation: consecutive recommends at the same state and
-// minute are deterministic, so the composition runs once and each request
-// still journals and logs its own served decision.
-func (s *server) binDispatchLocked(req wire.Request, depth int64, minute int,
-	sp *trace.Span, rec *jarvis.Decision, haveRec *bool, out []byte) []byte {
-	e := s.home.Env
-	resp := wire.Response{Minute: minute}
-
-	switch req.Op {
-	case wire.OpState:
-		resp.Flags = wire.FlagOK
-		resp.Violations = s.violations
-		resp.State = s.wireStateIDs()
-
-	case wire.OpEvent:
-		if s.following.Load() {
-			resp.Err = append(resp.Err, errFollowerReadOnly...)
-			break
-		}
-		*haveRec = false
-		di := int(req.Device)
-		if di < 0 || di >= e.K() {
-			resp.Err = append(resp.Err, "unknown device index"...)
-			break
-		}
-		unsafe, err := s.applyEvent(sp, depth, minute, di, device.ActionID(req.Action))
-		if err != nil {
-			resp.Err = append(resp.Err, err.Error()...)
-			break
-		}
-		resp.Flags = wire.FlagOK
-		if unsafe {
-			resp.Flags |= wire.FlagUnsafe
-		}
-		resp.Violations = s.violations
-		resp.State = s.wireStateIDs()
-
-	case wire.OpRecommend:
-		if s.shedRecommend(depth) {
-			s.shedRecommends++
-			mShedRecommends.Inc()
+// appendWireResponse encodes one core result as a framed binary response.
+func (s *server) appendWireResponse(out []byte, res *opResult) []byte {
+	var resp wire.Response
+	resp.Minute, resp.Violations, resp.Degraded = res.minute, res.violations, res.degraded
+	resp.RetryAfterMs, resp.Q = res.retryAfterMs, res.q
+	switch {
+	case res.err != nil:
+		resp.Err = []byte(res.err.Error())
+		if res.retryAfterMs > 0 {
 			resp.Flags = wire.FlagBusy
-			resp.RetryAfterMs = 250
-			resp.Err = append(resp.Err, "overloaded: recommendation shed"...)
-			break
 		}
-		if s.following.Load() {
-			// Read-only replica serve: evaluate against the replica policy,
-			// but the decision stream (journal, log, counters) belongs to
-			// the primary, so nothing is memoized or recorded.
-			d, err := s.replicaRecommend(sp, minute)
-			if err != nil {
-				resp.Err = append(resp.Err, err.Error()...)
-				break
-			}
-			resp.Flags = wire.FlagOK
-			resp.Q = d.Value
-			resp.Degraded = s.sys.DegradedRecommendations()
-			resp.Action = s.wireActionIDs(d.Action)
-			break
-		}
-		// The memoized evaluation is reused only when nothing needs the
-		// full pipeline to run: a sampled request re-evaluates so its span
-		// tree covers the selection, and a decision-logging daemon
-		// re-evaluates so every served recommendation has its own audit
-		// record. The result is bit-identical either way.
-		if !*haveRec || sp != nil || s.decisions != nil {
-			d, err := s.recommendOne(sp, minute)
-			if err != nil {
-				*haveRec = false
-				resp.Err = append(resp.Err, err.Error()...)
-				break
-			}
-			*rec, *haveRec = d, true
-		} else {
-			// Reuse the batch's evaluation, but still journal this served
-			// recommendation like any other — replay regenerates one
-			// decision per journaled record.
-			s.recommendsServed++
-			s.journal(sp, replay.Record{K: replay.KindRecommend, N: s.recommendsServed, M: minute})
-			mWireSharedEvals.Inc()
-		}
-		resp.Flags = wire.FlagOK
-		resp.Q = rec.Value
-		resp.Degraded = s.sys.DegradedRecommendations()
-		resp.Action = s.wireActionIDs(rec.Action)
-
-	case wire.OpViolations:
-		resp.Flags = wire.FlagOK
-		resp.Violations = s.violations
-
-	case wire.OpCheckpoint:
-		if s.following.Load() {
-			resp.Err = append(resp.Err, errFollowerReadOnly...)
-			break
-		}
-		if s.store == nil {
-			resp.Err = append(resp.Err, "daemon started without -checkpoint"...)
-			break
-		}
-		if err := s.saveCheckpointLocked(); err != nil {
-			resp.Err = append(resp.Err, err.Error()...)
-			break
-		}
-		resp.Flags = wire.FlagOK
-
-	case wire.OpLearnState:
-		fp, err := s.sys.QFingerprint()
-		if err != nil {
-			resp.Err = append(resp.Err, err.Error()...)
-			break
-		}
-		resp.Flags = wire.FlagOK | wire.FlagHasLearn
-		resp.Violations = s.violations
-		resp.ReplaySize = s.sys.Agent().ReplayBuffer().Len()
-		resp.Events = s.eventsIngested
-		resp.OnlineSteps = s.onlineSteps
-		resp.LearnSteps = s.learnSteps
-		resp.Recommends = s.recommendsServed
-		resp.QSum = append(resp.QSum, fp...)
-
+	case res.unsafe:
+		resp.Flags = wire.FlagOK | wire.FlagUnsafe
 	default:
-		resp.Err = append(resp.Err, "unknown op"...)
+		resp.Flags = wire.FlagOK
+	}
+	if res.state != nil {
+		resp.State = s.wireStateIDs(res.state)
+	}
+	if res.action != nil {
+		resp.Action = s.wireActionIDs(res.action)
+	}
+	if res.hasLearn {
+		l := res.learn
+		resp.Flags |= wire.FlagHasLearn
+		resp.ReplaySize, resp.Events, resp.OnlineSteps = l.replaySize, l.events, l.onlineSteps
+		resp.LearnSteps, resp.Recommends, resp.QSum = l.learnSteps, l.recommends, []byte(l.qsum)
 	}
 	return wire.AppendResponse(out, &resp)
 }
 
-// wireStateIDs copies the current state into the reusable binary scratch
-// buffer (guarded by mu).
-func (s *server) wireStateIDs() []uint8 {
-	if cap(s.wireState) < len(s.state) {
-		s.wireState = make([]uint8, len(s.state))
+// wireStateIDs copies a state into the reusable binary scratch buffer
+// (guarded by mu).
+func (s *server) wireStateIDs(state env.State) []uint8 {
+	if cap(s.wireState) < len(state) {
+		s.wireState = make([]uint8, len(state))
 	}
-	s.wireState = s.wireState[:len(s.state)]
-	for i, st := range s.state {
+	s.wireState = s.wireState[:len(state)]
+	for i, st := range state {
 		s.wireState[i] = uint8(st)
 	}
 	return s.wireState

@@ -4,11 +4,15 @@ import (
 	"bufio"
 	"encoding/json"
 	"io"
+	"math"
 	"net"
+	"path/filepath"
+	"reflect"
 	"testing"
 	"time"
 
 	"jarvis/internal/device"
+	"jarvis/internal/env"
 	"jarvis/internal/wire"
 )
 
@@ -107,56 +111,179 @@ func TestBinaryProtocol(t *testing.T) {
 	}
 }
 
-// TestBinaryJSONParity serves the same traffic over both codecs on one
-// daemon and checks they tell the same story: the recommend decision, its
-// Q value, and the reported state must agree.
-func TestBinaryJSONParity(t *testing.T) {
-	srv := startTestServer(t)
-	e := srv.home.Env
+// codecs are the two protocols a client can speak to jarvisd.
+var codecs = []string{"json", "binary"}
 
-	bin, err := wire.Dial(srv.Addr(), 5*time.Second)
+// dialCodec connects to srv over one codec and returns a function that
+// sends one request and returns the answer as a JSON response, so both
+// codecs' answers compare field for field. The binary answer carries what
+// the JSON one does, except the replication role (JSON-only, so dropped
+// from JSON answers) and the minute on errors other than a shed (JSON
+// leaves it off, so binary answers drop it there too). The binary request
+// is resolved from req's names unless bin overrides it.
+func dialCodec(t *testing.T, srv *server, codec string) func(req request, bin binOverride) response {
+	t.Helper()
+	e := srv.home.Env
+	if codec == "json" {
+		conn, err := net.Dial("tcp", srv.Addr())
+		if err != nil {
+			t.Fatalf("json dial: %v", err)
+		}
+		t.Cleanup(func() { conn.Close() })
+		enc, dec := json.NewEncoder(conn), json.NewDecoder(bufio.NewReader(conn))
+		return func(req request, _ binOverride) response {
+			r := roundTrip(t, enc, dec, req)
+			r.Role = ""
+			return r
+		}
+	}
+	c, err := wire.Dial(srv.Addr(), 5*time.Second)
 	if err != nil {
 		t.Fatalf("binary dial: %v", err)
 	}
-	defer bin.Close()
-
-	conn, err := net.Dial("tcp", srv.Addr())
-	if err != nil {
-		t.Fatalf("json dial: %v", err)
-	}
-	defer conn.Close()
-	enc := json.NewEncoder(conn)
-	dec := json.NewDecoder(bufio.NewReader(conn))
-
-	jr := roundTrip(t, enc, dec, request{Op: "recommend"})
-	br, err := bin.Do(wire.Request{Op: wire.OpRecommend})
-	if err != nil {
-		t.Fatalf("binary recommend: %v", err)
-	}
-	if !jr.OK || !br.OK() {
-		t.Fatalf("recommend failed: json %+v, binary %+v", jr, br)
-	}
-	comp := make([]device.ActionID, len(br.Action))
-	for i, a := range br.Action {
-		comp[i] = device.ActionID(a)
-	}
-	if got := e.FormatAction(comp); got != jr.Action {
-		t.Fatalf("binary action %q, JSON action %q", got, jr.Action)
-	}
-	if br.Q != jr.Q {
-		t.Fatalf("binary q %v, JSON q %v", br.Q, jr.Q)
-	}
-
-	js := roundTrip(t, enc, dec, request{Op: "state"})
-	bs, err := bin.Do(wire.Request{Op: wire.OpState})
-	if err != nil {
-		t.Fatalf("binary state: %v", err)
-	}
-	for i := range bs.State {
-		name := e.Device(i).Name() + "=" + e.Device(i).StateName(device.StateID(bs.State[i]))
-		if name != js.State[i] {
-			t.Fatalf("state[%d]: binary %q, JSON %q", i, name, js.State[i])
+	t.Cleanup(func() { c.Close() })
+	return func(req request, bin binOverride) response {
+		w := wire.Request{Op: uint8(parseOp(req.Op))}
+		if bin != nil {
+			w = bin(e)
+		} else if req.Op == "event" {
+			di, ok := e.DeviceIndex(req.Device)
+			if !ok {
+				t.Fatalf("no device %q", req.Device)
+			}
+			act, ok := e.Device(di).ActionID(req.Action)
+			if !ok {
+				t.Fatalf("device %q has no action %q", req.Device, req.Action)
+			}
+			w.Device, w.Action = uint16(di), int16(act)
 		}
+		r, err := c.Do(w)
+		if err != nil {
+			t.Fatalf("binary %+v: %v", w, err)
+		}
+		a := response{OK: r.OK(), Busy: r.Busy(), Unsafe: r.Unsafe(), RetryAfterMs: r.RetryAfterMs,
+			Error: string(r.Err), Violations: r.Violations, Q: r.Q, Degraded: r.Degraded,
+			ReplaySize: r.ReplaySize, Events: r.Events, OnlineSteps: r.OnlineSteps,
+			LearnSteps: r.LearnSteps, Recommends: r.Recommends, QSum: string(r.QSum)}
+		if a.OK || a.Busy {
+			a.Minute = r.Minute
+		}
+		for i, st := range r.State {
+			a.State = append(a.State, e.Device(i).Name()+"="+e.Device(i).StateName(device.StateID(st)))
+		}
+		if len(r.Action) > 0 {
+			act := make([]device.ActionID, len(r.Action))
+			for i, id := range r.Action {
+				act[i] = device.ActionID(id)
+			}
+			a.Action = e.FormatAction(act)
+		}
+		return a
+	}
+}
+
+// binOverride builds the binary request a parity step sends instead of
+// the one resolved from its JSON names.
+type binOverride func(e *env.Environment) wire.Request
+
+// tvAction is a binary event on the tv with a raw action ID.
+func tvAction(act device.ActionID) binOverride {
+	return func(e *env.Environment) wire.Request {
+		tv, _ := e.DeviceIndex("tv")
+		return wire.Request{Op: wire.OpEvent, Device: uint16(tv), Action: int16(act)}
+	}
+}
+
+// parityStep is one request of a parity sequence. bin overrides the
+// binary request for inputs only one codec can spell (a name that does
+// not resolve, an index out of range); worded marks an error each codec
+// words itself, so only its presence is compared. depth pins the
+// inflight count admission control sees.
+type parityStep struct {
+	req    request
+	bin    binOverride
+	worded bool
+	depth  int64
+}
+
+// TestBinaryJSONParity sends the same op sequence to two daemons with
+// identical configuration and a pinned minute, one over JSON and one over
+// the binary codec, and requires equal answers at every step: every op,
+// the rejected inputs, a shed recommendation, the checkpoint guard, and
+// the follower's read-only guard.
+func TestBinaryJSONParity(t *testing.T) {
+	fridge := request{Op: "event", Device: "fridge", Action: "open_door"}
+	cases := []struct {
+		name       string
+		checkpoint bool
+		// following flips the following flag after boot: the core's
+		// read-only guard, without a primary to stream from.
+		following bool
+		steps     []parityStep
+	}{
+		{name: "every op", checkpoint: true, steps: []parityStep{
+			{req: request{Op: "state"}},
+			{req: fridge},
+			{req: fridge},
+			{req: request{Op: "recommend"}},
+			{req: request{Op: "event", Device: "door-sensor", Action: "power_off"}},
+			{req: request{Op: "recommend"}},
+			{req: request{Op: "violations"}},
+			{req: request{Op: "checkpoint"}},
+			{req: request{Op: "learnstate"}},
+			{req: request{Op: "event", Device: "ghost", Action: "power_on"},
+				bin:    func(*env.Environment) wire.Request { return wire.Request{Op: wire.OpEvent, Device: 9999} },
+				worded: true},
+			{req: request{Op: "event", Device: "tv", Action: "explode"}, bin: tvAction(99), worded: true},
+			{req: request{Op: "event", Device: "tv", Action: "-"}, bin: tvAction(device.NoAction), worded: true},
+			{req: request{Op: "selfdestruct"},
+				bin: func(*env.Environment) wire.Request { return wire.Request{Op: 99} }, worded: true},
+			{req: request{Op: "recommend"}, depth: 64},
+			{req: request{Op: "learnstate"}},
+		}},
+		{name: "without checkpoint", steps: []parityStep{
+			{req: request{Op: "checkpoint"}},
+			{req: request{Op: "learnstate"}},
+		}},
+		{name: "following", following: true, steps: []parityStep{
+			{req: fridge},
+			{req: request{Op: "checkpoint"}},
+			{req: request{Op: "recommend"}},
+			{req: request{Op: "state"}},
+			{req: request{Op: "learnstate"}},
+		}},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			srvs := make([]*server, len(codecs))
+			dos := make([]func(request, binOverride) response, len(codecs))
+			for i, codec := range codecs {
+				cfg := serverConfig{Seed: 1, LearningDays: 2, Episodes: 2, FixedMinute: 600}
+				if c.checkpoint {
+					cfg.CheckpointPath = filepath.Join(t.TempDir(), "jarvisd.ckpt")
+				}
+				srvs[i] = startTestServerConfig(t, cfg)
+				srvs[i].following.Store(c.following)
+				dos[i] = dialCodec(t, srvs[i], codec)
+			}
+			for i, st := range c.steps {
+				var got [2]response
+				for j := range codecs {
+					srvs[j].inflight.Store(st.depth)
+					got[j] = dos[j](st.req, st.bin)
+					srvs[j].inflight.Store(0)
+					if st.worded && got[j].Error != "" {
+						got[j].Error = "(worded by codec)"
+					}
+				}
+				if !reflect.DeepEqual(got[0], got[1]) {
+					t.Errorf("step %d %+v:\n json   %+v\n binary %+v", i, st.req, got[0], got[1])
+				}
+				if st.bin != nil && got[0].OK {
+					t.Errorf("step %d %+v accepted: %+v", i, st.req, got[0])
+				}
+			}
+		})
 	}
 }
 
@@ -229,6 +356,40 @@ func TestBinaryBatchCoalescing(t *testing.T) {
 	// of it must have been coalesced into shared evaluations.
 	if mWireSharedEvals.Value() == 0 {
 		t.Log("no shared evaluations recorded (burst arrived as singletons); coalescing still exercised by frame loop")
+	}
+}
+
+// TestBinaryBatchAllocationFree pins the daemon's binary serve path at 0
+// allocs/op: a steady-state batch through the op core and the wire
+// encoder, for a burst of recommends (the batch memo) and for a mix of
+// recommend, state and violations. The malloc counter is process-wide and
+// the daemon's background goroutines allocate, so each batch keeps the
+// least of a few windows.
+func TestBinaryBatchAllocationFree(t *testing.T) {
+	srv, err := newServer(serverConfig{Seed: 1, LearningDays: 2, Episodes: 2, FixedMinute: 600})
+	if err != nil {
+		t.Fatalf("newServer: %v", err)
+	}
+	defer srv.Close()
+	recs := make([]opRequest, 16)
+	for i := range recs {
+		recs[i] = opRequest{op: opRecommend}
+	}
+	mix := []opRequest{{op: opRecommend}, {op: opState}, {op: opRecommend}, {op: opViolations}, {op: opRecommend}, {op: opState}}
+	for _, b := range []struct {
+		name string
+		reqs []opRequest
+	}{{"16 recommends", recs}, {"recommend, state and violations", mix}} {
+		out := srv.handleBatch(b.reqs, nil) // sizes the scratch buffers
+		allocs := math.Inf(1)
+		for i := 0; i < 5; i++ {
+			allocs = math.Min(allocs, testing.AllocsPerRun(100, func() {
+				out = srv.handleBatch(b.reqs, out[:0])
+			}))
+		}
+		if allocs != 0 {
+			t.Errorf("%s: handleBatch allocates %.1f objects per batch, want 0", b.name, allocs)
+		}
 	}
 }
 

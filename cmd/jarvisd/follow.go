@@ -28,12 +28,10 @@ import (
 	"net"
 	"time"
 
-	"jarvis"
 	"jarvis/internal/env"
 	"jarvis/internal/replay"
 	"jarvis/internal/replica"
 	"jarvis/internal/telemetry"
-	"jarvis/internal/trace"
 )
 
 const (
@@ -78,7 +76,7 @@ func (s *server) serveReplication(conn net.Conn, br *bufio.Reader) {
 		WALDir:       s.cfg.WALDir,
 		Snapshot:     s.replicationSnapshot,
 		Counters:     s.replicaCounters,
-		WriteTimeout: s.cfg.WriteTimeout,
+		WriteTimeout: writeTimeout,
 		Logf:         s.cfg.Logf,
 	})
 	if err := sh.ServeConn(conn, br, s.stop); err != nil {
@@ -340,20 +338,6 @@ func (s *server) applyShippedRecord(b []byte) error {
 		s.cfg.Logf("jarvisd: replication: unknown record kind %q", rec.K)
 	}
 	return nil
-}
-
-// replicaRecommend serves a read-only recommendation from the replica
-// policy while following: same evaluation as recommendOne, but nothing is
-// journaled, logged, or counted as served — the decision stream belongs to
-// the primary. Caller holds s.mu.
-func (s *server) replicaRecommend(sp *trace.Span, minute int) (jarvis.Decision, error) {
-	d, err := s.sys.RecommendDecisionTraced(sp, s.state, minute)
-	if err != nil {
-		return jarvis.Decision{}, err
-	}
-	s.replicaReads++
-	mReplicaReads.Inc()
-	return d, nil
 }
 
 // requestPromote arms an operator-requested promotion. It only signals —

@@ -11,10 +11,13 @@
 //	{"op":"promote"}                                 → follower only: promote to primary
 //
 // Connections whose first byte is the wire magic (0xB7) are served the
-// length-prefixed binary codec instead — same ops, indices for names,
-// with buffered requests coalesced into batch-scored responses; anything
-// else falls through to the JSON loop, so old clients are untouched. By
-// default steady-state recommendations come from a compiled policy table
+// length-prefixed binary codec instead — same ops except promote, indices
+// for names, with buffered requests coalesced into batch-scored
+// responses; anything else falls through to the JSON loop, so old clients
+// are untouched. Both codecs are thin adapters over one op core (ops.go):
+// admission control, counting, tracing, the state lock and the one switch
+// over ops are written once, so the protocols answer alike. By default
+// steady-state recommendations come from a compiled policy table
 // (-compiled=false forces the agent path).
 //
 // With -follow, the daemon starts as a hot standby instead: it streams the
@@ -91,8 +94,6 @@ func run(args []string) error {
 	shadowEvery := fs.Int("shadow-every", 32, "run one shadow policy evaluation per N online learn steps (<= 0 = disabled; needs -wal and -checkpoint)")
 	profileDir := fs.String("profile-dir", "", "capture cpu.pprof (first -profile-cpu-window) and a shutdown heap.pprof into this directory (empty = disabled)")
 	profileCPUWindow := fs.Duration("profile-cpu-window", 30*time.Second, "how long the automated CPU profile records")
-	idle := fs.Duration("idle-timeout", 5*time.Minute, "drop connections idle longer than this")
-	writeTimeout := fs.Duration("write-timeout", 10*time.Second, "per-response write deadline")
 	follow := fs.String("follow", "", "start as a hot standby streaming the WAL from the primary at this address (empty = primary)")
 	promoteAfter := fs.Duration("promote-after", 5*time.Second, "follower: self-promote to primary after this much primary silence (negative = only on explicit promote)")
 	if err := fs.Parse(args); err != nil {
@@ -159,8 +160,6 @@ func run(args []string) error {
 		TSInterval:          *tsInterval,
 		ShadowEvery:         *shadowEvery,
 		AnomalyFilter:       *anomalyFilter,
-		IdleTimeout:         *idle,
-		WriteTimeout:        *writeTimeout,
 		FollowAddr:          *follow,
 		PromoteAfter:        *promoteAfter,
 		Logf:                logf,

@@ -166,12 +166,6 @@ type serverConfig struct {
 	// TSInterval is the history append cadence (default HealthInterval).
 	TSInterval time.Duration
 
-	// IdleTimeout bounds how long a connection may sit silent between
-	// requests before the daemon drops it (default 5m).
-	IdleTimeout time.Duration
-	// WriteTimeout bounds one response write (default 10s).
-	WriteTimeout time.Duration
-
 	// Logf receives operational messages; nil discards them.
 	Logf func(format string, args ...any)
 }
@@ -182,12 +176,6 @@ func (c serverConfig) withDefaults() serverConfig {
 	}
 	if c.Episodes <= 0 {
 		c.Episodes = 60
-	}
-	if c.IdleTimeout <= 0 {
-		c.IdleTimeout = 5 * time.Minute
-	}
-	if c.WriteTimeout <= 0 {
-		c.WriteTimeout = 10 * time.Second
 	}
 	if c.CheckpointRetain <= 0 {
 		c.CheckpointRetain = 4
@@ -219,6 +207,14 @@ func (c serverConfig) withDefaults() serverConfig {
 	return c
 }
 
+// Connection deadlines, shared by both codec loops and the replication
+// shipper: a connection may sit silent between requests for idleTimeout
+// before the daemon drops it, and one response write may take writeTimeout.
+const (
+	idleTimeout  = 5 * time.Minute
+	writeTimeout = 10 * time.Second
+)
+
 // request is one JSON line from a client.
 type request struct {
 	Op     string `json:"op"`
@@ -242,10 +238,7 @@ type response struct {
 	// should back off RetryAfterMs before retrying.
 	Busy         bool `json:"busy,omitempty"`
 	RetryAfterMs int  `json:"retryAfterMs,omitempty"`
-	// learnstate: the online-learning fingerprint — replay buffer size,
-	// ingest/learn counters, and a digest of the serialized Q function.
-	// Two daemons with equal fingerprints are in identical training
-	// states, which is exactly what the crash-recovery harness asserts.
+	// learnstate: the online-learning fingerprint (learnFingerprint).
 	ReplaySize  int    `json:"replaySize,omitempty"`
 	Events      int    `json:"events,omitempty"`
 	OnlineSteps int    `json:"onlineSteps,omitempty"`
@@ -292,7 +285,7 @@ type server struct {
 
 	// inflight counts requests currently being served; admission control
 	// sheds work above the configured thresholds. Atomic because it is
-	// bumped before dispatch takes mu.
+	// bumped before the op core takes mu.
 	inflight atomic.Int64
 
 	// store is the checkpoint generation store (nil when checkpointing is
@@ -378,6 +371,10 @@ type server struct {
 	// buffer (guarded by mu) — keeps the steady-state recommend path free
 	// of per-request state allocations.
 	nextScratch env.State
+
+	// result is the op core's answer to the request it is serving
+	// (guarded by mu; see opResult).
+	result opResult
 
 	// wireState/wireAction are the binary codec's response scratch buffers
 	// (guarded by mu): state IDs and per-device action IDs are copied here
@@ -727,7 +724,7 @@ func isTransient(err error) bool {
 // original JSON-lines loop — so old clients are untouched and new ones
 // get length-prefixed frames and batch scoring.
 func (s *server) serve(conn net.Conn) {
-	if err := conn.SetReadDeadline(time.Now().Add(s.cfg.IdleTimeout)); err != nil {
+	if err := conn.SetReadDeadline(time.Now().Add(idleTimeout)); err != nil {
 		return
 	}
 	br := bufio.NewReader(conn)
@@ -754,7 +751,7 @@ func (s *server) serveJSON(conn net.Conn, br *bufio.Reader) {
 		// A connection may not sit silent forever: the read deadline turns
 		// an abandoned client into a closed connection instead of a leaked
 		// goroutine.
-		if err := conn.SetReadDeadline(time.Now().Add(s.cfg.IdleTimeout)); err != nil {
+		if err := conn.SetReadDeadline(time.Now().Add(idleTimeout)); err != nil {
 			return
 		}
 		var req request
@@ -762,7 +759,7 @@ func (s *server) serveJSON(conn net.Conn, br *bufio.Reader) {
 			return
 		}
 		resp := s.handle(req)
-		if err := conn.SetWriteDeadline(time.Now().Add(s.cfg.WriteTimeout)); err != nil {
+		if err := conn.SetWriteDeadline(time.Now().Add(writeTimeout)); err != nil {
 			return
 		}
 		if err := enc.Encode(resp); err != nil {
@@ -789,253 +786,57 @@ func (s *server) minuteOfDay(now time.Time) int {
 	return m
 }
 
-// handle counts and times one request, then dispatches it. The inflight
-// gauge — requests admitted but not yet answered — is the queue depth
-// admission control sheds against. Sampled requests get a root span named
-// after the op (opSpanNames, telemetry.go) that the whole pipeline threads
-// through; unsampled requests carry a nil span at zero cost.
+// handle is the JSON codec's entry point: resolve the device and action
+// names, run the op core on a batch of one, and build the response.
 func (s *server) handle(req request) response {
-	depth := s.inflight.Add(1)
-	defer s.inflight.Add(-1)
-	mQueueDepth.SetInt(depth)
-	if c, ok := mRequests[req.Op]; ok {
-		c.Inc()
-	} else {
-		mRequestsUnknown.Inc()
+	r := opRequest{op: parseOp(req.Op), dev: -1, act: device.NoAction}
+	if r.op == opEvent {
+		e := s.home.Env
+		if di, ok := e.DeviceIndex(req.Device); ok {
+			r.dev = di
+			if act, ok := e.Device(di).ActionID(req.Action); ok {
+				r.act = act
+			}
+		}
 	}
-	sp := s.tracer.Start(opSpanName(req.Op))
-	if sp != nil {
-		sp.AnnotateInt("depth", depth)
-		defer sp.End()
-	}
-	if !mRequestLatency.Enabled() {
-		return s.dispatch(req, depth, sp)
-	}
-	t0 := time.Now()
-	resp := s.dispatch(req, depth, sp)
-	mRequestLatency.Observe(time.Since(t0))
+	var resp response
+	s.serveOps([]opRequest{r}, func(res *opResult) { resp = s.jsonResponse(req, res) })
 	return resp
 }
 
-// shedLearning reports whether the learning half of an event should be
-// shed at this queue depth; shedRecommend likewise for recommendations.
-// Learning sheds first (at half the threshold): the audit check and the
-// state transition are the safety surface and always run, while the
-// learner can catch up from later traffic. Recommendations shed last —
-// they are the product — and reject loudly with a retry hint.
-func (s *server) shedLearning(depth int64) bool {
-	return s.cfg.MaxQueue > 0 && depth > int64(s.cfg.MaxQueue)/2
-}
-
-func (s *server) shedRecommend(depth int64) bool {
-	return s.cfg.MaxQueue > 0 && depth > int64(s.cfg.MaxQueue)
-}
-
-func (s *server) dispatch(req request, depth int64, sp *trace.Span) response {
-	// Under admission-control pressure the wait for the state lock IS the
-	// queue; a sampled trace shows it as its own span.
-	qw := sp.Child("queue.wait")
-	s.mu.Lock()
-	qw.End()
-	defer s.mu.Unlock()
-	return s.dispatchLocked(req, depth, sp)
-}
-
-func (s *server) dispatchLocked(req request, depth int64, sp *trace.Span) response {
+// jsonResponse encodes one core result as a JSON response. Errors carry
+// no minute unless the request was shed, and name what the request named.
+func (s *server) jsonResponse(req request, res *opResult) response {
+	if res.err != nil {
+		resp := response{Error: res.err.Error(), Role: res.role}
+		switch res.err {
+		case errUnknownOp:
+			resp.Error = fmt.Sprintf("unknown op %q", req.Op)
+		case errUnknownDevice:
+			resp.Error = fmt.Sprintf("unknown device %q", req.Device)
+		case errUnknownAction:
+			resp.Error = fmt.Sprintf("device %q has no action %q", req.Device, req.Action)
+		}
+		if res.retryAfterMs > 0 {
+			resp.Busy, resp.RetryAfterMs, resp.Minute = true, res.retryAfterMs, res.minute
+		}
+		return resp
+	}
 	e := s.home.Env
-	minute := s.minuteOfDay(time.Now())
-
-	switch req.Op {
-	case "state":
-		return response{OK: true, State: stateNames(e, s.state), Minute: minute,
-			Violations: s.violations, Role: s.role()}
-
-	case "event":
-		if s.following.Load() {
-			return response{Error: errFollowerReadOnly}
-		}
-		di, ok := e.DeviceIndex(req.Device)
-		if !ok {
-			return response{Error: fmt.Sprintf("unknown device %q", req.Device)}
-		}
-		act, ok := e.Device(di).ActionID(req.Action)
-		if !ok {
-			return response{Error: fmt.Sprintf("device %q has no action %q", req.Device, req.Action)}
-		}
-		unsafe, err := s.applyEvent(sp, depth, minute, di, act)
-		if err != nil {
-			return response{Error: err.Error()}
-		}
-		return response{OK: true, State: stateNames(e, s.state), Unsafe: unsafe, Minute: minute, Violations: s.violations}
-
-	case "recommend":
-		if s.shedRecommend(depth) {
-			s.shedRecommends++
-			mShedRecommends.Inc()
-			return response{Error: "overloaded: recommendation shed", Busy: true,
-				RetryAfterMs: 250, Minute: minute}
-		}
-		if s.following.Load() {
-			// Read-only replica serving: evaluate against the replica Q
-			// without journaling or counting a served recommendation — the
-			// decision stream is the primary's to record.
-			d, err := s.replicaRecommend(sp, minute)
-			if err != nil {
-				return response{Error: err.Error()}
-			}
-			return response{OK: true, Action: e.FormatAction(d.Action), Minute: minute,
-				Q: d.Value, Degraded: s.sys.DegradedRecommendations(), Role: roleFollower}
-		}
-		d, err := s.recommendOne(sp, minute)
-		if err != nil {
-			return response{Error: err.Error()}
-		}
-		return response{OK: true, Action: e.FormatAction(d.Action), Minute: minute,
-			Q: d.Value, Degraded: s.sys.DegradedRecommendations()}
-
-	case "violations":
-		return response{OK: true, Violations: s.violations, Minute: minute}
-
-	case "checkpoint":
-		if s.following.Load() {
-			return response{Error: errFollowerReadOnly}
-		}
-		if s.store == nil {
-			return response{Error: "daemon started without -checkpoint"}
-		}
-		if err := s.saveCheckpointLocked(); err != nil {
-			return response{Error: err.Error()}
-		}
-		return response{OK: true, Minute: minute}
-
-	case "learnstate":
-		fp, err := s.sys.QFingerprint()
-		if err != nil {
-			return response{Error: err.Error()}
-		}
-		return response{OK: true, Minute: minute, Violations: s.violations,
-			ReplaySize:  s.sys.Agent().ReplayBuffer().Len(),
-			Events:      s.eventsIngested,
-			OnlineSteps: s.onlineSteps,
-			LearnSteps:  s.learnSteps,
-			Recommends:  s.recommendsServed,
-			QSum:        fp,
-			Role:        s.role(),
-		}
-
-	case "promote":
-		if err := s.requestPromote(); err != nil {
-			return response{Error: err.Error(), Role: s.role()}
-		}
-		return response{OK: true, Minute: minute, Role: s.role()}
+	resp := response{OK: true, Unsafe: res.unsafe, Violations: res.violations, Minute: res.minute,
+		Degraded: res.degraded, Q: res.q, Role: res.role}
+	if res.state != nil {
+		resp.State = stateNames(e, res.state)
 	}
-	return response{Error: fmt.Sprintf("unknown op %q", req.Op)}
-}
-
-// applyEvent is the codec-independent event op: audit against P_safe,
-// apply the transition, journal, and (when not shed) feed the learner.
-// Callers resolve the device index and action ID; both codecs build their
-// responses from the post-transition server state.
-func (s *server) applyEvent(sp *trace.Span, depth int64, minute, di int, act device.ActionID) (unsafe bool, err error) {
-	e := s.home.Env
-	a := env.NoOp(e.K())
-	a[di] = act
-	next, err := e.Transition(s.state, a)
-	if err != nil {
-		return false, err
+	if res.action != nil {
+		resp.Action = e.FormatAction(res.action)
 	}
-	table := s.sys.SafeTable()
-	unsafe = !table.SafeTransitionTraced(sp, e.StateKey(s.state), e.StateKey(next), a)
-	if unsafe {
-		s.violations++
-		mEventsUnsafe.Inc()
-		s.mUnsafeByDevice[di].Inc()
+	if res.hasLearn {
+		l := res.learn
+		resp.ReplaySize, resp.Events, resp.OnlineSteps = l.replaySize, l.events, l.onlineSteps
+		resp.LearnSteps, resp.Recommends, resp.QSum = l.learnSteps, l.recommends, l.qsum
 	}
-	prev := s.state
-	s.state = next
-	s.eventsIngested++
-	s.journal(sp, replay.Record{K: replay.KindEvent, N: s.eventsIngested, M: minute, D: di, A: act, U: unsafe})
-	// The audit check above is never shed; under pressure only the
-	// learning ingestion below is dropped.
-	if s.shedLearning(depth) {
-		s.shedEvents++
-		mShedEvents.Inc()
-	} else {
-		li := sp.Child("learn.ingest")
-		s.journal(li, replay.Record{K: replay.KindTransition, N: s.onlineSteps + 1, M: minute, D: di, A: act, S: prev})
-		s.ingestTransition(li, prev, a, minute)
-		li.End()
-	}
-	if s.decisions != nil {
-		verdict := "safe"
-		if unsafe {
-			verdict = "unsafe"
-		}
-		s.logDecision(sp, decisionRecord{
-			Kind: "event", Minute: minute,
-			State:   stateNames(e, s.state),
-			Action:  e.FormatAction(a),
-			Verdict: verdict,
-		})
-	}
-	return unsafe, nil
-}
-
-// recommendOne is the codec-independent recommend op (admission control is
-// the caller's): evaluate the policy, cross-check against P_safe, score
-// the anomaly filter, and journal the served recommendation.
-func (s *server) recommendOne(sp *trace.Span, minute int) (jarvis.Decision, error) {
-	e := s.home.Env
-	d, err := s.sys.RecommendDecisionTraced(sp, s.state, minute)
-	if err != nil {
-		return jarvis.Decision{}, err
-	}
-	verdict := "safe"
-	if d.Degraded {
-		verdict = "degraded"
-	}
-	var score float64
-	if s.nextScratch == nil {
-		s.nextScratch = make(env.State, e.K())
-	}
-	if terr := e.TransitionInto(s.nextScratch, s.state, d.Action); terr == nil {
-		// Cross-check the recommendation against P_safe before handing
-		// it out. The constrained agent only proposes whitelisted
-		// transitions, so a deny here means the table and the optimizer
-		// have drifted apart — worth a loud verdict in the audit log.
-		next := s.nextScratch
-		if !s.sys.SafeTable().SafeTransitionTraced(sp, e.StateKey(s.state), e.StateKey(next), d.Action) {
-			verdict = "unsafe"
-		}
-		if s.filter != nil {
-			// Score the transition through the benign-anomaly ANN —
-			// the daemon's answer to "how unusual is the action I am
-			// about to suggest".
-			score = s.filter.ScoreTraced(sp, env.Transition{
-				From: s.state, Act: d.Action, To: next,
-				Instance: minute,
-				At:       s.startOfDay.Add(time.Duration(minute) * time.Minute),
-			})
-		}
-	}
-	// Journal the served recommendation: recovery only bumps the
-	// counter, but the offline replay engine re-executes the policy at
-	// this point in the stream to regenerate (or counterfactually
-	// rewrite) the decision below.
-	s.recommendsServed++
-	s.journal(sp, replay.Record{K: replay.KindRecommend, N: s.recommendsServed, M: minute})
-	if s.decisions != nil {
-		s.logDecision(sp, decisionRecord{
-			Kind: "recommend", Minute: minute,
-			State:    stateNames(e, s.state),
-			Action:   e.FormatAction(d.Action),
-			Q:        d.Value,
-			Anomaly:  score,
-			Degraded: d.Degraded,
-			Verdict:  verdict,
-		})
-	}
-	return d, nil
+	return resp
 }
 
 // logDecision stamps and appends one record to the decision log (no-op

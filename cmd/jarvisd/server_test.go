@@ -17,7 +17,14 @@ import (
 
 func startTestServer(t *testing.T) *server {
 	t.Helper()
-	srv, err := newServer(serverConfig{Seed: 1, LearningDays: 2, Episodes: 2})
+	return startTestServerConfig(t, serverConfig{Seed: 1, LearningDays: 2, Episodes: 2})
+}
+
+// startTestServerConfig boots a daemon with cfg on a loopback port and
+// closes it when the test ends.
+func startTestServerConfig(t *testing.T, cfg serverConfig) *server {
+	t.Helper()
+	srv, err := newServer(cfg)
 	if err != nil {
 		t.Fatalf("newServer: %v", err)
 	}

@@ -16,24 +16,11 @@ var (
 	mAcceptRetries = telemetry.Default.Counter("jarvisd.accept.retries")
 	mAcceptErrors  = telemetry.Default.Counter("jarvisd.accept.errors")
 
-	// Per-op request counters: one labeled family, jarvisd.requests{op},
-	// with every child resolved at init into a map so handle stays a
-	// single lookup — a vec child IS a *Counter, so the hot path is
-	// byte-identical to the old per-name scalars. Snapshots and SLO
-	// objectives address each series by its flat name, e.g.
-	// `jarvisd.requests{op="recommend"}`.
-	mRequestsVec = telemetry.Default.CounterVec("jarvisd.requests", "op")
-	mRequests    = map[string]*telemetry.Counter{
-		"state":      mRequestsVec.With("state"),
-		"event":      mRequestsVec.With("event"),
-		"recommend":  mRequestsVec.With("recommend"),
-		"violations": mRequestsVec.With("violations"),
-		"checkpoint": mRequestsVec.With("checkpoint"),
-		"learnstate": mRequestsVec.With("learnstate"),
-		"promote":    mRequestsVec.With("promote"),
-	}
-	mRequestsUnknown = mRequestsVec.With("unknown")
-	mRequestLatency  = telemetry.Default.Histogram("jarvisd.request.latency")
+	// Per-op request counters: one labeled family, jarvisd.requests{op}.
+	// Snapshots and SLO objectives address each series by its flat name,
+	// e.g. `jarvisd.requests{op="recommend"}`.
+	mRequestsVec    = telemetry.Default.CounterVec("jarvisd.requests", "op")
+	mRequestLatency = telemetry.Default.Histogram("jarvisd.request.latency")
 
 	// Codec negotiation outcomes (one increment per connection) plus the
 	// binary loop's batching effectiveness: requests coalesced into an
@@ -43,38 +30,6 @@ var (
 	mWireBinary      = telemetry.Default.Counter("server.wire.binary")
 	mWireCoalesced   = telemetry.Default.Counter("server.wire.coalesced")
 	mWireSharedEvals = telemetry.Default.Counter("server.wire.shared_evals")
-
-	// Binary-op counters, indexed by opcode; same namespace as the JSON
-	// per-op counters so one scrape sees both codecs.
-	mBinRequests = map[uint8]*telemetry.Counter{
-		1: mRequests["state"],      // wire.OpState
-		2: mRequests["event"],      // wire.OpEvent
-		3: mRequests["recommend"],  // wire.OpRecommend
-		4: mRequests["violations"], // wire.OpViolations
-		5: mRequests["checkpoint"], // wire.OpCheckpoint
-		6: mRequests["learnstate"], // wire.OpLearnState
-	}
-
-	binOpSpans = map[uint8]string{
-		1: "jarvisd.state",
-		2: "jarvisd.event",
-		3: "jarvisd.recommend",
-		4: "jarvisd.violations",
-		5: "jarvisd.checkpoint",
-		6: "jarvisd.learnstate",
-	}
-
-	// Root span names for sampled request traces, one per op. A static map
-	// keeps the traced request path free of string concatenation.
-	opSpanNames = map[string]string{
-		"state":      "jarvisd.state",
-		"event":      "jarvisd.event",
-		"recommend":  "jarvisd.recommend",
-		"violations": "jarvisd.violations",
-		"checkpoint": "jarvisd.checkpoint",
-		"learnstate": "jarvisd.learnstate",
-		"promote":    "jarvisd.promote",
-	}
 
 	// The daemon's safety-enforcement surface: every applied event is
 	// checked against the learned P_safe, and unsafe ones are counted here
@@ -120,19 +75,3 @@ var (
 	mOnlineObserved   = telemetry.Default.Counter("jarvisd.online.observed")
 	mOnlineLearnSteps = telemetry.Default.Counter("jarvisd.online.learn_steps")
 )
-
-// opSpanName maps a request op to its root span name.
-func opSpanName(op string) string {
-	if n, ok := opSpanNames[op]; ok {
-		return n
-	}
-	return "jarvisd.unknown"
-}
-
-// binOpSpanName is opSpanName for binary opcodes.
-func binOpSpanName(op uint8) string {
-	if n, ok := binOpSpans[op]; ok {
-		return n
-	}
-	return "jarvisd.unknown"
-}

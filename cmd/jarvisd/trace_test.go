@@ -42,55 +42,65 @@ func findTrace(t *testing.T, srv *server, name string) *trace.TraceData {
 // TestRecommendTraceSpanTree: a sampled recommend request produces one
 // trace whose span tree covers the server op, the queue wait, the RL
 // selection, the policy audit, and the anomaly score — with every child
-// span parented inside the tree.
+// span parented inside the tree — over either codec.
 func TestRecommendTraceSpanTree(t *testing.T) {
-	srv, _ := bootTracedServer(t)
-	if resp := srv.handle(request{Op: "recommend"}); !resp.OK {
-		t.Fatalf("recommend: %+v", resp)
-	}
-	td := findTrace(t, srv, "jarvisd.recommend")
-	if len(td.ID) != 16 {
-		t.Errorf("trace ID %q is not 16 hex digits", td.ID)
-	}
-	if td.DurNs <= 0 {
-		t.Errorf("trace duration %d, want > 0", td.DurNs)
-	}
-	seen := map[string]bool{}
-	for i, sp := range td.Spans {
-		seen[sp.Name] = true
-		if i == 0 {
-			if sp.Parent != -1 {
-				t.Errorf("root span parent = %d, want -1", sp.Parent)
+	for _, codec := range codecs {
+		t.Run(codec, func(t *testing.T) {
+			srv, _ := bootTracedServer(t)
+			if resp := dialCodec(t, srv, codec)(request{Op: "recommend"}, nil); !resp.OK {
+				t.Fatalf("recommend: %+v", resp)
 			}
-			continue
-		}
-		if sp.Parent < 0 || int(sp.Parent) >= len(td.Spans) {
-			t.Errorf("span %q has out-of-tree parent %d", sp.Name, sp.Parent)
-		}
-	}
-	for _, want := range []string{"jarvisd.recommend", "queue.wait", "rl.select", "policy.audit", "anomaly.score"} {
-		if !seen[want] {
-			t.Errorf("span tree missing stage %q: %v", want, names(td))
-		}
+			td := findTrace(t, srv, "jarvisd.recommend")
+			if len(td.ID) != 16 {
+				t.Errorf("trace ID %q is not 16 hex digits", td.ID)
+			}
+			if td.DurNs <= 0 {
+				t.Errorf("trace duration %d, want > 0", td.DurNs)
+			}
+			seen := map[string]bool{}
+			for i, sp := range td.Spans {
+				seen[sp.Name] = true
+				if i == 0 {
+					if sp.Parent != -1 {
+						t.Errorf("root span parent = %d, want -1", sp.Parent)
+					}
+					continue
+				}
+				if sp.Parent < 0 || int(sp.Parent) >= len(td.Spans) {
+					t.Errorf("span %q has out-of-tree parent %d", sp.Name, sp.Parent)
+				}
+			}
+			for _, want := range []string{"jarvisd.recommend", "queue.wait", "rl.select", "policy.audit", "anomaly.score"} {
+				if !seen[want] {
+					t.Errorf("span tree missing stage %q: %v", want, names(td))
+				}
+			}
+		})
 	}
 }
 
 // TestEventTraceCoversDurabilityPath: a traced event shows the safety
-// audit, the WAL append, and the learning ingestion as spans.
+// audit, the WAL append, and the learning ingestion as spans, over either
+// codec.
 func TestEventTraceCoversDurabilityPath(t *testing.T) {
-	srv, _ := bootTracedServer(t)
-	if resp := srv.handle(request{Op: "event", Device: "fridge", Action: "open_door"}); !resp.OK {
-		t.Fatalf("event: %+v", resp)
-	}
-	td := findTrace(t, srv, "jarvisd.event")
-	seen := map[string]bool{}
-	for _, sp := range td.Spans {
-		seen[sp.Name] = true
-	}
-	for _, want := range []string{"policy.audit", "wal.append", "learn.ingest"} {
-		if !seen[want] {
-			t.Errorf("event trace missing %q: %v", want, names(td))
-		}
+	for _, codec := range codecs {
+		t.Run(codec, func(t *testing.T) {
+			srv, _ := bootTracedServer(t)
+			req := request{Op: "event", Device: "fridge", Action: "open_door"}
+			if resp := dialCodec(t, srv, codec)(req, nil); !resp.OK {
+				t.Fatalf("event: %+v", resp)
+			}
+			td := findTrace(t, srv, "jarvisd.event")
+			seen := map[string]bool{}
+			for _, sp := range td.Spans {
+				seen[sp.Name] = true
+			}
+			for _, want := range []string{"policy.audit", "wal.append", "learn.ingest"} {
+				if !seen[want] {
+					t.Errorf("event trace missing %q: %v", want, names(td))
+				}
+			}
+		})
 	}
 }
 

@@ -12,6 +12,7 @@ func FuzzLoadTable(f *testing.F) {
 	f.Add(`{"safe":{}}`)
 	f.Add(`junk`)
 	f.Add(`{"safe":{"notanumber":[1]}}`)
+	f.Add(`{"allowIdle":true,"safe":{"1":[2]},"manual":[[4,2],[0,1]]}`)
 	f.Fuzz(func(t *testing.T, data string) {
 		tab, err := LoadTable(strings.NewReader(data))
 		if err != nil {
@@ -28,6 +29,13 @@ func FuzzLoadTable(f *testing.F) {
 		if again.Len() != tab.Len() || again.AllowIdle() != tab.AllowIdle() {
 			t.Fatalf("round trip changed the table: %d/%v vs %d/%v",
 				again.Len(), again.AllowIdle(), tab.Len(), tab.AllowIdle())
+		}
+		var resaved strings.Builder
+		if err := again.Save(&resaved); err != nil {
+			t.Fatalf("reloaded table failed to save: %v", err)
+		}
+		if resaved.String() != out.String() {
+			t.Fatalf("round trip changed the serialized table:\n%s\n%s", out.String(), resaved.String())
 		}
 	})
 }

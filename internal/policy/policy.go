@@ -162,14 +162,26 @@ func (t *Table) SafeTransition(from, to uint64, a env.Action) bool {
 type tableJSON struct {
 	AllowIdle bool                `json:"allowIdle"`
 	Safe      map[string][]uint64 `json:"safe"`
+	// Manual lists the manually sanctioned device actions as [device,
+	// action] pairs, sorted; omitted when there are none, so a table
+	// without them serializes as it always has.
+	Manual [][2]int `json:"manual,omitempty"`
 }
 
-// Save writes the table as JSON.
+// Save writes the table as JSON: the learned whitelist and the manual
+// allowances, so a restored table audits exactly like the saved one.
 func (t *Table) Save(w io.Writer) error {
 	out := tableJSON{AllowIdle: t.allowIdle, Safe: make(map[string][]uint64, len(t.safe))}
 	for from := range t.safe {
 		out.Safe[fmt.Sprint(from)] = t.SafeSuccessors(from)
 	}
+	for k := range t.manual {
+		out.Manual = append(out.Manual, [2]int{k.dev, int(k.act)})
+	}
+	sort.Slice(out.Manual, func(i, j int) bool {
+		a, b := out.Manual[i], out.Manual[j]
+		return a[0] < b[0] || a[0] == b[0] && a[1] < b[1]
+	})
 	if err := json.NewEncoder(w).Encode(out); err != nil {
 		return fmt.Errorf("policy: save table: %w", err)
 	}
@@ -204,6 +216,12 @@ func LoadTable(r io.Reader) (*Table, error) {
 		for _, to := range tos {
 			t.Allow(from, to)
 		}
+	}
+	for _, m := range in.Manual {
+		if m[0] < 0 || m[1] < 0 {
+			return nil, fmt.Errorf("policy: load table: bad manual allowance %v", m)
+		}
+		t.AllowManual(m[0], device.ActionID(m[1]))
 	}
 	return t, nil
 }

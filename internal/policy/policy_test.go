@@ -110,6 +110,50 @@ func TestTableSaveLoad(t *testing.T) {
 	}
 }
 
+// TestTableSaveLoadKeepsManual: a saved table carries its manual
+// allowances, so the loaded one sanctions the same device actions, and a
+// negative device or action does not load.
+func TestTableSaveLoadKeepsManual(t *testing.T) {
+	tab := NewTable(true)
+	tab.Allow(1, 2)
+	tab.AllowManual(4, 2)
+	tab.AllowManual(0, 1)
+	var buf bytes.Buffer
+	if err := tab.Save(&buf); err != nil {
+		t.Fatalf("Save: %v", err)
+	}
+	if !strings.Contains(buf.String(), `"manual":[[0,1],[4,2]]`) {
+		t.Errorf("saved table lists manual allowances unsorted or not at all: %s", buf.String())
+	}
+	got, err := LoadTable(&buf)
+	if err != nil {
+		t.Fatalf("LoadTable: %v", err)
+	}
+	for _, c := range []struct {
+		dev  int
+		act  device.ActionID
+		want bool
+	}{{4, 2, true}, {0, 1, true}, {4, 1, false}, {1, 2, false}} {
+		a := env.NoOp(5)
+		a[c.dev] = c.act
+		if got.ManualAllowed(a) != c.want {
+			t.Errorf("loaded ManualAllowed(device %d, action %d) = %v, want %v", c.dev, c.act, !c.want, c.want)
+		}
+	}
+	if !got.Safe(1, 2) {
+		t.Error("round trip lost the learned transition")
+	}
+	want, _ := tab.Fingerprint()
+	if fp, _ := got.Fingerprint(); fp != want {
+		t.Errorf("loaded fingerprint %s, saved %s", fp, want)
+	}
+	for _, bad := range []string{`{"safe":{},"manual":[[-1,0]]}`, `{"safe":{},"manual":[[0,-1]]}`} {
+		if _, err := LoadTable(strings.NewReader(bad)); err == nil {
+			t.Errorf("LoadTable(%s) accepted a negative allowance", bad)
+		}
+	}
+}
+
 func TestLearnerWhitelistsObservedTransitions(t *testing.T) {
 	e := testEnv(t)
 	l := NewLearner(e, Config{ThreshEnv: 0, AllowIdle: true})

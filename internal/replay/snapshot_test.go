@@ -1,12 +1,14 @@
 package replay
 
 import (
+	"bytes"
 	"encoding/json"
 	"errors"
 	"testing"
 
 	"jarvis/internal/checkpoint"
 	"jarvis/internal/env"
+	"jarvis/internal/smarthome"
 )
 
 // validSnapshot returns a snapshot that passes Validate for cfg/k.
@@ -91,5 +93,44 @@ func TestPolicyFileInterpretation(t *testing.T) {
 	}
 	if got := string(TableFromPolicyFile(raw)); got != string(raw) {
 		t.Errorf("TableFromPolicyFile(raw) = %s, want the bytes unchanged", got)
+	}
+}
+
+// TestRestoreSnapshotKeepsManualAllowances: Build sanctions the
+// thermostat's power_off by hand (Section V-B1), and a restore — crash
+// recovery, /debug/replay, shadow evaluation, a follower's snapshot —
+// replaces the whole table, so the saved table must carry the allowance
+// for the restored P_safe to audit like the live one.
+func TestRestoreSnapshotKeepsManualAllowances(t *testing.T) {
+	cfg := Config{Seed: 1, LearningDays: 2, Episodes: 2}
+	live, err := Build(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := live.Train(); err != nil {
+		t.Fatal(err)
+	}
+	var table, q bytes.Buffer
+	if err := live.Sys.SaveTable(&table); err != nil {
+		t.Fatal(err)
+	}
+	if err := live.Sys.SaveQ(&q); err != nil {
+		t.Fatal(err)
+	}
+	restored, err := Build(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := restored.RestoreSnapshot(&Snapshot{Table: table.Bytes(), Q: q.Bytes()}, nil); err != nil {
+		t.Fatalf("RestoreSnapshot: %v", err)
+	}
+	off := env.NoOp(live.Home.Env.K())
+	off[live.Home.Thermostat] = smarthome.ThermostatActOff
+	want := live.Sys.SafeTable().ManualAllowed(off)
+	if !want {
+		t.Fatal("live table does not sanction the thermostat's power_off")
+	}
+	if got := restored.Sys.SafeTable().ManualAllowed(off); got != want {
+		t.Errorf("restored ManualAllowed(thermostat power_off) = %v, live %v", got, want)
 	}
 }

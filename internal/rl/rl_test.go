@@ -13,7 +13,7 @@ import (
 )
 
 // testEnv: a lamp (2 states, 2 actions) and a heater (2 states, 2 actions).
-func testEnv(t *testing.T) *env.Environment {
+func testEnv(t testing.TB) *env.Environment {
 	t.Helper()
 	lamp := device.NewBuilder("lamp", device.TypeLight).
 		States("off", "on").
@@ -53,7 +53,7 @@ func energySaving(e *env.Environment) reward.Func {
 	}
 }
 
-func testReward(t *testing.T, e *env.Environment, n int) *reward.Smart {
+func testReward(t testing.TB, e *env.Environment, n int) *reward.Smart {
 	t.Helper()
 	r, err := reward.New(e, reward.Config{
 		Functionalities: []reward.Functionality{
