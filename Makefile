@@ -50,10 +50,11 @@ trace:
 
 # The replay-determinism smoke: a recorded daemon day must replay into a
 # bit-identical decision log, the engine must verify its own synthetic
-# streams, and a perturbed policy must produce a quantified counterfactual
-# divergence.
+# streams, a perturbed policy must produce a quantified counterfactual
+# divergence, and every consumer of the record-apply step (boot replay, a
+# follower, offline verify) must land where the recording primary did.
 replay:
-	$(GO) test -run 'TestReplayVerifyReproducesDecisionLog|TestReplayWhatIfPerturbedPolicyDiverges|TestReplayerIsSelfConsistent|TestForkEmitsAlignedTail' -count=1 -v ./cmd/jarvisd/ ./internal/replay/
+	$(GO) test -run 'TestReplayVerifyReproducesDecisionLog|TestReplayWhatIfPerturbedPolicyDiverges|TestReplayerIsSelfConsistent|TestForkEmitsAlignedTail|TestApplyOracle' -count=1 -v ./cmd/jarvisd/ ./internal/replay/
 
 # The alerting smoke: a hair-trigger rule must fire under traffic, appear
 # in /debug/alerts and /healthz, resolve when traffic stops, and log both
@@ -65,8 +66,9 @@ alerts:
 
 # Short fuzz passes over every decoder that reads untrusted bytes: WAL
 # segment frames, checkpoint/nn payloads, policy tables, binary wire
-# frames, and replication protocol messages. Go fuzzing allows one -fuzz
-# target per invocation, hence one run per decoder.
+# frames, replication protocol messages, and the journal records those
+# frames carry, decoded and applied. Go fuzzing allows one -fuzz target
+# per invocation, hence one run per decoder.
 FUZZTIME ?= 5s
 
 fuzz:
@@ -75,6 +77,7 @@ fuzz:
 	$(GO) test -run xxx -fuzz FuzzLoadTable -fuzztime $(FUZZTIME) ./internal/policy/
 	$(GO) test -run xxx -fuzz FuzzReadFrame -fuzztime $(FUZZTIME) ./internal/wire/
 	$(GO) test -run xxx -fuzz FuzzParseMessage -fuzztime $(FUZZTIME) ./internal/replica/
+	$(GO) test -run xxx -fuzz FuzzApplyRecord -fuzztime $(FUZZTIME) ./internal/replay/
 
 # Measure the batched compute core and write BENCH_core.json, plus the
 # allocation-asserting micro-benchmarks of the root package.

@@ -94,7 +94,7 @@ func TestBinaryProtocol(t *testing.T) {
 		t.Fatalf("learnstate: %+v, %v", resp, err)
 	}
 	srv.mu.Lock()
-	events := srv.eventsIngested
+	events := srv.stream.Events
 	srv.mu.Unlock()
 	if len(resp.QSum) == 0 || resp.Events != events {
 		t.Fatalf("learnstate fingerprint: %+v (events %d)", resp, events)
@@ -197,12 +197,14 @@ func tvAction(act device.ActionID) binOverride {
 // parityStep is one request of a parity sequence. bin overrides the
 // binary request for inputs only one codec can spell (a name that does
 // not resolve, an index out of range); worded marks an error each codec
-// words itself, so only its presence is compared. depth pins the
+// words itself, so only its presence is compared, and binErr, when set,
+// is the exact text the binary codec must answer with. depth pins the
 // inflight count admission control sees.
 type parityStep struct {
 	req    request
 	bin    binOverride
 	worded bool
+	binErr string
 	depth  int64
 }
 
@@ -234,8 +236,11 @@ func TestBinaryJSONParity(t *testing.T) {
 			{req: request{Op: "event", Device: "ghost", Action: "power_on"},
 				bin:    func(*env.Environment) wire.Request { return wire.Request{Op: wire.OpEvent, Device: 9999} },
 				worded: true},
-			{req: request{Op: "event", Device: "tv", Action: "explode"}, bin: tvAction(99), worded: true},
+			{req: request{Op: "event", Device: "tv", Action: "explode"}, bin: tvAction(99), worded: true,
+				binErr: "unknown action index"},
 			{req: request{Op: "event", Device: "tv", Action: "-"}, bin: tvAction(device.NoAction), worded: true},
+			{req: request{Op: "event", Device: "tv", Action: "implode"}, bin: tvAction(-2), worded: true,
+				binErr: "unknown action index"},
 			{req: request{Op: "selfdestruct"},
 				bin: func(*env.Environment) wire.Request { return wire.Request{Op: 99} }, worded: true},
 			{req: request{Op: "recommend"}, depth: 64},
@@ -272,6 +277,9 @@ func TestBinaryJSONParity(t *testing.T) {
 					srvs[j].inflight.Store(st.depth)
 					got[j] = dos[j](st.req, st.bin)
 					srvs[j].inflight.Store(0)
+					if codecs[j] == "binary" && st.binErr != "" && got[j].Error != st.binErr {
+						t.Errorf("step %d: binary error %q, want %q", i, got[j].Error, st.binErr)
+					}
 					if st.worded && got[j].Error != "" {
 						got[j].Error = "(worded by codec)"
 					}
@@ -310,7 +318,7 @@ func TestBinaryBatchCoalescing(t *testing.T) {
 
 	const burst = 16
 	srv.mu.Lock()
-	recBefore := srv.recommendsServed
+	recBefore := srv.stream.Recommends
 	srv.mu.Unlock()
 	var buf []byte
 	for i := 0; i < burst; i++ {
@@ -347,7 +355,7 @@ func TestBinaryBatchCoalescing(t *testing.T) {
 		}
 	}
 	srv.mu.Lock()
-	served := srv.recommendsServed - recBefore
+	served := srv.stream.Recommends - recBefore
 	srv.mu.Unlock()
 	if served != burst {
 		t.Fatalf("journaled %d served recommendations, want %d", served, burst)

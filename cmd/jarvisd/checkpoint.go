@@ -19,12 +19,6 @@ import (
 // generation the daemon would restore is exactly one a replay can seed
 // re-execution from.
 
-// loadRetry is the restore policy: a few quick attempts absorb briefly
-// flaky storage. Deterministic rejections (checksum, decode, config
-// mismatch) are wrapped in checkpoint.ErrCorrupt so they skip the retries
-// and fall straight back to the previous generation.
-var loadRetry = checkpoint.LoadOptions{Tries: 3, Backoff: 25 * time.Millisecond}
-
 // openStore opens the generation store rooted next to cfg.CheckpointPath:
 // generations are path.000001, path.000002, ... plus a MANIFEST in the
 // same directory. A corrupt manifest is quarantined (renamed aside) and
@@ -62,7 +56,7 @@ func (s *server) saveCheckpointLocked() error {
 		mCkptSaveFailures.Inc()
 		return fmt.Errorf("checkpoint: store unavailable")
 	}
-	ckpt, err := s.snapshotLocked()
+	ckpt, err := s.stream.Snapshot()
 	if err != nil {
 		mCkptSaveFailures.Inc()
 		return err
@@ -87,101 +81,31 @@ func (s *server) saveCheckpointLocked() error {
 	return nil
 }
 
-// snapshotLocked serializes the daemon state as a replay.Snapshot — the
-// payload for both checkpoint generations and replication snapshots, so a
-// follower seeds from exactly the bytes crash recovery would. Caller
-// holds s.mu.
-func (s *server) snapshotLocked() (*replay.Snapshot, error) {
-	var table, q, rbuf bytes.Buffer
-	if err := s.sys.SaveTable(&table); err != nil {
-		return nil, fmt.Errorf("checkpoint: %w", err)
-	}
-	if err := s.sys.SaveQ(&q); err != nil {
-		return nil, fmt.Errorf("checkpoint: %w", err)
-	}
-	if err := s.sys.Agent().ReplayBuffer().Save(&rbuf); err != nil {
-		return nil, fmt.Errorf("checkpoint: %w", err)
-	}
-	return &replay.Snapshot{
-		Version:      replay.SnapshotVersion,
-		Seed:         s.cfg.Seed,
-		LearningDays: s.cfg.LearningDays,
-		Episodes:     s.cfg.Episodes,
-		Violations:   s.violations,
-		State:        s.state,
-		Events:       s.eventsIngested,
-		OnlineSteps:  s.onlineSteps,
-		LearnSteps:   s.learnSteps,
-		Recommends:   s.recommendsServed,
-		Epsilon:      s.sys.Agent().Epsilon(),
-		UseDNN:       s.cfg.UseDNN,
-		Table:        table.Bytes(),
-		Q:            q.Bytes(),
-		Replay:       rbuf.Bytes(),
-	}, nil
-}
-
-// loadCheckpoint decodes the newest usable generation, falling back
-// generation by generation past corrupt or mismatched ones.
-func (s *server) loadCheckpoint() (*replay.Snapshot, uint64, error) {
-	var ckpt replay.Snapshot
-	gen, err := s.store.Load(loadRetry, func(r io.Reader) error {
-		ckpt = replay.Snapshot{}
-		if err := json.NewDecoder(r).Decode(&ckpt); err != nil {
-			return fmt.Errorf("decode: %v: %w", err, checkpoint.ErrCorrupt)
-		}
-		return ckpt.Validate(replayConfig(s.cfg), s.home.Env.K())
-	})
-	if err != nil {
-		return nil, 0, err
-	}
-	return &ckpt, gen, nil
-}
-
-// restoreCheckpoint rebuilds the trained system and runtime counters from
-// the newest usable generation, skipping optimizer training. Any failure
+// restoreCheckpoint rebuilds the trained system and the stream position
+// from the newest usable generation (replay.LoadSnapshot, the loader the
+// offline replay engine uses), skipping optimizer training. Any failure
 // is returned so the caller can fall back to fresh training.
-func (s *server) restoreCheckpoint(assets *replay.Assets) error {
-	ckpt, _, err := s.loadCheckpoint()
+func (s *server) restoreCheckpoint() error {
+	ck, _, err := replay.LoadSnapshot(s.store, replayConfig(s.cfg), s.home.Env.K())
 	if err != nil {
 		return err
 	}
-	if err := assets.RestoreSnapshot(ckpt, s.cfg.Logf); err != nil {
-		return err
-	}
-	s.violations = ckpt.Violations
-	s.eventsIngested = ckpt.Events
-	s.onlineSteps = ckpt.OnlineSteps
-	s.learnSteps = ckpt.LearnSteps
-	s.recommendsServed = ckpt.Recommends
-	if len(ckpt.State) == s.home.Env.K() {
-		s.state = ckpt.State
-	}
-	return nil
+	return s.stream.Restore(ck)
 }
 
 // restoreNewestQ rolls only the agent's Q function back to the newest
-// valid generation — the divergence watchdog's recovery action. Runs on
-// the dispatch path (caller holds s.mu).
+// usable generation (replay.LoadSnapshot) — the divergence watchdog's
+// recovery action. Runs on the dispatch path (caller holds s.mu).
 func (s *server) restoreNewestQ() error {
 	if s.store == nil {
 		return fmt.Errorf("checkpoint store unavailable")
 	}
-	gen, err := s.store.Load(loadRetry, func(r io.Reader) error {
-		var ckpt replay.Snapshot
-		if err := json.NewDecoder(r).Decode(&ckpt); err != nil {
-			return fmt.Errorf("decode: %v: %w", err, checkpoint.ErrCorrupt)
-		}
-		if err := ckpt.Validate(replayConfig(s.cfg), s.home.Env.K()); err != nil {
-			return err
-		}
-		if err := s.sys.LoadQ(bytes.NewReader(ckpt.Q)); err != nil {
-			return fmt.Errorf("load q: %v: %w", err, checkpoint.ErrCorrupt)
-		}
-		return nil
-	})
+	ck, gen, err := replay.LoadSnapshot(s.store, replayConfig(s.cfg), s.home.Env.K())
 	if err != nil {
 		return err
+	}
+	if err := s.sys.LoadQ(bytes.NewReader(ck.Q)); err != nil {
+		return fmt.Errorf("checkpoint generation %d: load q: %w", gen, err)
 	}
 	s.cfg.Logf("jarvisd: watchdog rolled Q back to checkpoint generation %d", gen)
 	return nil

@@ -292,14 +292,14 @@ func (s *server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	h := healthStatus{
 		Status:                  "ok",
 		DegradedRecommendations: s.sys.DegradedRecommendations(),
-		Violations:              s.violations,
+		Violations:              s.stream.Violations,
 		RestoredFromCheckpoint:  s.restored,
 		QueueDepth:              s.inflight.Load(),
 		ShedEvents:              s.shedEvents,
 		ShedRecommends:          s.shedRecommends,
-		Events:                  s.eventsIngested,
-		OnlineSteps:             s.onlineSteps,
-		LearnSteps:              s.learnSteps,
+		Events:                  s.stream.Events,
+		OnlineSteps:             s.stream.OnlineSteps,
+		LearnSteps:              s.stream.LearnSteps,
 	}
 	if s.watchdog != nil {
 		h.Watchdog = s.watchdog.Stats()

@@ -15,6 +15,7 @@ import (
 	"testing"
 
 	"jarvis/internal/env"
+	"jarvis/internal/replay"
 	"jarvis/internal/rl"
 	"jarvis/internal/smarthome"
 	"jarvis/internal/telemetry"
@@ -147,7 +148,7 @@ func poisonQ(t *testing.T, srv *server) {
 	}
 	nan := math.NaN()
 	srv.mu.Lock()
-	state := append(env.State(nil), srv.state...)
+	state := append(env.State(nil), srv.stream.State...)
 	srv.mu.Unlock()
 	for inst := 0; inst < smarthome.InstancesPerDay; inst += 15 {
 		exp := rl.Experience{S: state, T: inst, Minis: []int{0}}
@@ -325,9 +326,9 @@ func TestDecisionLogRecordsRecommendations(t *testing.T) {
 	if len(lines) != 2 {
 		t.Fatalf("decision log has %d lines, want 2:\n%s", len(lines), data)
 	}
-	var recs []decisionRecord
+	var recs []replay.LoggedDecision
 	for _, line := range lines {
-		var rec decisionRecord
+		var rec replay.LoggedDecision
 		if err := json.Unmarshal([]byte(line), &rec); err != nil {
 			t.Fatalf("decision line %q: %v", line, err)
 		}

@@ -183,9 +183,9 @@ func TestAdmissionControlShedsByTier(t *testing.T) {
 	if resp := srv.handle(request{Op: "event", Device: "tv", Action: "power_on"}); !resp.OK {
 		t.Fatalf("audited event rejected under load: %s", resp.Error)
 	}
-	if srv.eventsIngested != 1 || srv.shedEvents != 1 || srv.onlineSteps != 0 {
+	if srv.stream.Events != 1 || srv.shedEvents != 1 || srv.stream.OnlineSteps != 0 {
 		t.Errorf("events=%d shed=%d steps=%d, want audit applied (1) with learning shed (1, 0 steps)",
-			srv.eventsIngested, srv.shedEvents, srv.onlineSteps)
+			srv.stream.Events, srv.shedEvents, srv.stream.OnlineSteps)
 	}
 	srv.inflight.Store(3)
 	if resp := srv.handle(request{Op: "recommend"}); !resp.OK {
@@ -206,8 +206,8 @@ func TestAdmissionControlShedsByTier(t *testing.T) {
 	if resp := srv.handle(request{Op: "event", Device: "tv", Action: "power_off"}); !resp.OK {
 		t.Fatalf("audit shed at depth 5: %s", resp.Error)
 	}
-	if srv.eventsIngested != 2 {
-		t.Errorf("eventsIngested = %d, want 2 (audits are never shed)", srv.eventsIngested)
+	if srv.stream.Events != 2 {
+		t.Errorf("events applied = %d, want 2 (audits are never shed)", srv.stream.Events)
 	}
 
 	// Idle again: learning resumes. (Training already part-filled the
@@ -217,9 +217,9 @@ func TestAdmissionControlShedsByTier(t *testing.T) {
 	if resp := srv.handle(request{Op: "event", Device: "tv", Action: "power_on"}); !resp.OK {
 		t.Fatalf("idle event: %s", resp.Error)
 	}
-	if srv.onlineSteps != 1 || srv.sys.Agent().ReplayBuffer().Len() != replay0+1 {
+	if srv.stream.OnlineSteps != 1 || srv.sys.Agent().ReplayBuffer().Len() != replay0+1 {
 		t.Errorf("steps=%d replay=%d, want learning resumed (1 step, buffer +1 from %d)",
-			srv.onlineSteps, srv.sys.Agent().ReplayBuffer().Len(), replay0)
+			srv.stream.OnlineSteps, srv.sys.Agent().ReplayBuffer().Len(), replay0)
 	}
 }
 
@@ -245,7 +245,7 @@ func TestWatchdogRollsBackToGenerationAndHealthzReports(t *testing.T) {
 	if !ok {
 		t.Fatalf("agent backend is %T, want *rl.TableQ", srv.sys.Agent().Q())
 	}
-	state := append(env.State(nil), srv.state...)
+	state := append(env.State(nil), srv.stream.State...)
 	if _, err := q.Update([]rl.Experience{{S: state, T: 600, Minis: []int{0}}},
 		[]float64{math.Inf(1)}); err != nil {
 		t.Fatalf("poison update: %v", err)

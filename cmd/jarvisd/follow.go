@@ -12,10 +12,10 @@ package main
 //
 // Follower side: the daemon builds its deterministic base exactly like a
 // primary (train or restore), then converges onto the primary's state by
-// adopting shipped snapshots through replay.Assets.RestoreSnapshot and
-// applying shipped records through the same skip-stale logic boot replay
-// uses. Every applied record is re-journaled to the follower's own WAL and
-// re-audited against its own P_safe, so the follower's durability
+// adopting shipped snapshots through replay.Stream.Restore and applying
+// shipped records through replay.Stream.Replay, the skip-stale step boot
+// replay uses. Every applied record is re-journaled to the follower's own
+// WAL and re-audited against its own P_safe, so the follower's durability
 // artifacts are always a self-consistent prefix of the primary's history —
 // a promoted follower is indistinguishable from a primary that crashed and
 // recovered at the same position.
@@ -28,7 +28,6 @@ import (
 	"net"
 	"time"
 
-	"jarvis/internal/env"
 	"jarvis/internal/replay"
 	"jarvis/internal/replica"
 	"jarvis/internal/telemetry"
@@ -42,12 +41,14 @@ const (
 )
 
 var (
-	mReplicaReads   = telemetry.Default.Counter("jarvisd.replica.reads")
-	mReplAppliedEvt = telemetry.Default.Counter("jarvisd.replica.applied.events")
-	mReplAppliedTxn = telemetry.Default.Counter("jarvisd.replica.applied.txns")
-	mReplAppliedRec = telemetry.Default.Counter("jarvisd.replica.applied.recs")
-	mReplAdopted    = telemetry.Default.Counter("jarvisd.replica.adopted.snapshots")
-	mPromotions     = telemetry.Default.Counter("jarvisd.promotions")
+	mReplicaReads = telemetry.Default.Counter("jarvisd.replica.reads")
+	mReplApplied  = map[string]*telemetry.Counter{
+		replay.KindEvent:      telemetry.Default.Counter("jarvisd.replica.applied.events"),
+		replay.KindTransition: telemetry.Default.Counter("jarvisd.replica.applied.txns"),
+		replay.KindRecommend:  telemetry.Default.Counter("jarvisd.replica.applied.recs"),
+	}
+	mReplAdopted = telemetry.Default.Counter("jarvisd.replica.adopted.snapshots")
+	mPromotions  = telemetry.Default.Counter("jarvisd.promotions")
 )
 
 // role reports the daemon's replication role.
@@ -91,7 +92,7 @@ func (s *server) serveReplication(conn net.Conn, br *bufio.Reader) {
 func (s *server) replicationSnapshot() (uint64, []byte, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	ck, err := s.snapshotLocked()
+	ck, err := s.stream.Snapshot()
 	if err != nil {
 		return 0, nil, err
 	}
@@ -107,7 +108,7 @@ func (s *server) replicationSnapshot() (uint64, []byte, error) {
 func (s *server) replicaCounters() replica.Counters {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return replica.Counters{Events: s.eventsIngested, Steps: s.onlineSteps, Recs: s.recommendsServed}
+	return replica.Counters{Events: s.stream.Events, Steps: s.stream.OnlineSteps, Recs: s.stream.Recommends}
 }
 
 // --- follower side ----------------------------------------------------
@@ -194,16 +195,8 @@ func (s *server) adoptSnapshot(gen uint64, data []byte) error {
 	if err := ck.Validate(replayConfig(s.cfg), s.home.Env.K()); err != nil {
 		return fmt.Errorf("snapshot gen %d: %w", gen, err)
 	}
-	if err := s.assets.RestoreSnapshot(&ck, s.cfg.Logf); err != nil {
+	if err := s.stream.Restore(&ck); err != nil {
 		return fmt.Errorf("adopt snapshot gen %d: %w", gen, err)
-	}
-	s.violations = ck.Violations
-	s.eventsIngested = ck.Events
-	s.onlineSteps = ck.OnlineSteps
-	s.learnSteps = ck.LearnSteps
-	s.recommendsServed = ck.Recommends
-	if len(ck.State) == s.home.Env.K() {
-		s.state = ck.State
 	}
 	mReplAdopted.Inc()
 	// Persist the adopted state as the follower's own generation. A
@@ -226,11 +219,11 @@ func (s *server) adoptSnapshot(gen uint64, data []byte) error {
 	return nil
 }
 
-// applyShippedRecord applies one verbatim WAL record from the primary:
-// re-journal it to the follower's own log, then run it through the same
-// skip-stale apply logic boot replay uses — with the live path's decision
-// logging, so a promoted follower's decision log verifies against its WAL
-// exactly like a primary's does.
+// applyShippedRecord applies one verbatim WAL record from the primary
+// through the same replay step boot recovery uses, then re-journals it to
+// the follower's own log and, with a decision log, records its decision —
+// so a promoted follower's decision log verifies against its WAL exactly
+// like a primary's does.
 func (s *server) applyShippedRecord(b []byte) error {
 	rec, err := replay.DecodeRecord(b)
 	if err != nil {
@@ -241,101 +234,29 @@ func (s *server) applyShippedRecord(b []byte) error {
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	e := s.home.Env
+	step, ok := s.replayRecord("replication", rec)
+	if !ok {
+		return nil
+	}
+	s.journal(nil, rec)
+	mReplApplied[rec.K].Inc()
+	if s.decisions == nil {
+		return nil
+	}
 	switch rec.K {
 	case replay.KindEvent:
-		if rec.N <= s.eventsIngested {
-			return nil // covered by the adopted snapshot
-		}
-		if rec.D < 0 || rec.D >= e.K() {
-			s.cfg.Logf("jarvisd: replication: evt #%d has bad device %d", rec.N, rec.D)
-			return nil
-		}
-		a := env.NoOp(e.K())
-		a[rec.D] = rec.A
-		next, err := e.Transition(s.state, a)
-		if err != nil {
-			s.cfg.Logf("jarvisd: replication: evt #%d does not apply: %v", rec.N, err)
-			return nil
-		}
-		// Re-derive the safety verdict against the replica's own P_safe,
-		// exactly like boot replay: the table is deterministic, so the
-		// follower's violation count stays honest.
-		unsafe := !s.sys.SafeTable().SafeTransition(e.StateKey(s.state), e.StateKey(next), a)
-		if unsafe {
-			s.violations++
-			mEventsUnsafe.Inc()
-			s.mUnsafeByDevice[rec.D].Inc()
-		}
-		s.state = next
-		s.eventsIngested++
-		s.journal(nil, rec)
-		mReplAppliedEvt.Inc()
-		if s.decisions != nil {
-			verdict := "safe"
-			if unsafe {
-				verdict = "unsafe"
-			}
-			s.logDecision(nil, decisionRecord{
-				Kind: "event", Minute: rec.M,
-				State:   stateNames(e, s.state),
-				Action:  e.FormatAction(a),
-				Verdict: verdict,
-			})
-		}
-
-	case replay.KindTransition:
-		if rec.N <= s.onlineSteps {
-			return nil
-		}
-		if len(rec.S) != e.K() || rec.D < 0 || rec.D >= e.K() {
-			s.cfg.Logf("jarvisd: replication: txn #%d malformed", rec.N)
-			return nil
-		}
-		a := env.NoOp(e.K())
-		a[rec.D] = rec.A
-		s.journal(nil, rec)
-		s.ingestTransition(nil, rec.S, a, rec.M)
-		mReplAppliedTxn.Inc()
-
+		s.logDecision(nil, s.stream.EventDecision(step, rec.M), 0)
 	case replay.KindRecommend:
-		if rec.N <= s.recommendsServed {
+		// Re-execute the policy at this point in the stream — the same
+		// regeneration the offline replay engine performs — so the
+		// follower's decision log carries its own recommendation audit
+		// trail, bit-compatible with a verify replay.
+		r, err := s.stream.Decide(s.sys.SafeTable().SafeTransition, nil, rec.M)
+		if err != nil {
+			s.cfg.Logf("jarvisd: replication: rec #%d re-execution failed: %v", rec.N, err)
 			return nil
 		}
-		s.recommendsServed++
-		s.journal(nil, rec)
-		mReplAppliedRec.Inc()
-		if s.decisions != nil {
-			// Re-execute the policy at this point in the stream — the same
-			// regeneration the offline replay engine performs — so the
-			// follower's decision log carries its own recommendation audit
-			// trail, bit-compatible with a verify replay.
-			d, err := s.sys.RecommendDecision(s.state, rec.M)
-			if err != nil {
-				s.cfg.Logf("jarvisd: replication: rec #%d re-execution failed: %v", rec.N, err)
-				return nil
-			}
-			verdict := "safe"
-			if d.Degraded {
-				verdict = "degraded"
-			}
-			if next, terr := e.Transition(s.state, d.Action); terr == nil {
-				if !s.sys.SafeTable().SafeTransition(e.StateKey(s.state), e.StateKey(next), d.Action) {
-					verdict = "unsafe"
-				}
-			}
-			s.logDecision(nil, decisionRecord{
-				Kind: "recommend", Minute: rec.M,
-				State:    stateNames(e, s.state),
-				Action:   e.FormatAction(d.Action),
-				Q:        d.Value,
-				Degraded: d.Degraded,
-				Verdict:  verdict,
-			})
-		}
-
-	default:
-		s.cfg.Logf("jarvisd: replication: unknown record kind %q", rec.K)
+		s.logDecision(nil, s.stream.RecommendDecision(r, step.Seq, rec.M), 0)
 	}
 	return nil
 }
@@ -363,7 +284,7 @@ func (s *server) promote(reason string) {
 	s.replica = nil
 	s.following.Store(false)
 	s.promotedAt.Store(time.Now().UnixNano())
-	events, steps, recs := s.eventsIngested, s.onlineSteps, s.recommendsServed
+	events, steps, recs := s.stream.Events, s.stream.OnlineSteps, s.stream.Recommends
 	if s.store != nil {
 		if err := s.saveCheckpointLocked(); err != nil {
 			s.cfg.Logf("jarvisd: promotion checkpoint failed: %v", err)
@@ -385,7 +306,7 @@ func (s *server) replicationLag() float64 {
 	}
 	s.mu.Lock()
 	f := s.replica
-	have := replica.Counters{Events: s.eventsIngested, Steps: s.onlineSteps, Recs: s.recommendsServed}
+	have := replica.Counters{Events: s.stream.Events, Steps: s.stream.OnlineSteps, Recs: s.stream.Recommends}
 	s.mu.Unlock()
 	if f == nil {
 		return 0

@@ -214,7 +214,7 @@ func (s *server) onAlertFiring(a health.Alert) {
 // the learn step that just ran — but the replay itself runs on its own
 // goroutine so the lock is released before any expensive work starts.
 func (s *server) maybeShadowEval() {
-	if s.shadow == nil || s.learnSteps%s.cfg.ShadowEvery != 0 {
+	if s.shadow == nil || s.stream.LearnSteps%s.cfg.ShadowEvery != 0 {
 		return
 	}
 	if !s.shadow.TryBegin() {

@@ -29,7 +29,10 @@
 //
 // Every applied event is checked against the learned P_safe; unsafe
 // transitions are executed (the hub is a monitor, not a gate) but flagged
-// and counted, mirroring the paper's enforcement discussion.
+// and counted, mirroring the paper's enforcement discussion. Events,
+// learning transitions and recommendations apply through one step
+// (replay.Stream) whether served live, replayed from the WAL at boot,
+// shipped to a follower, or re-executed offline.
 //
 // A second HTTP listener (-debug-addr, default 127.0.0.1:7464) serves the
 // observability surface: /metrics (JSON telemetry snapshot, or Prometheus

@@ -193,20 +193,20 @@ func (s *server) do(res *opResult, r opRequest, depth int64, minute int, sp *tra
 	}
 	switch r.op {
 	case opState:
-		res.state, res.violations, res.role = s.state, s.violations, s.role()
+		res.state, res.violations, res.role = s.stream.State, s.stream.Violations, s.role()
 
 	case opEvent:
 		switch {
 		case r.dev < 0 || r.dev >= s.home.Env.K():
 			res.err = errUnknownDevice
-		case r.act == device.NoAction:
-			// An event acts; the transition rejects every other
-			// action ID its device does not have.
+		case r.act < 0 || int(r.act) >= s.home.Env.Device(r.dev).NumActions():
+			// An event acts (device.NoAction is -1), with an action
+			// its device has.
 			res.err = errUnknownAction
 		default:
 			res.unsafe, res.err = s.applyEvent(sp, depth, minute, r.dev, r.act)
 			if res.err == nil {
-				res.state, res.violations = s.state, s.violations
+				res.state, res.violations = s.stream.State, s.stream.Violations
 			}
 		}
 
@@ -224,7 +224,7 @@ func (s *server) do(res *opResult, r opRequest, depth int64, minute int, sp *tra
 			// Read-only replica serve: the decision stream (journal,
 			// log, counters) belongs to the primary, so nothing is
 			// memoized, journaled or logged.
-			if d, err = s.sys.RecommendDecisionTraced(sp, s.state, minute); err == nil {
+			if d, err = s.sys.RecommendDecisionTraced(sp, s.stream.State, minute); err == nil {
 				s.replicaReads++
 				mReplicaReads.Inc()
 				res.role = roleFollower
@@ -237,8 +237,7 @@ func (s *server) do(res *opResult, r opRequest, depth int64, minute int, sp *tra
 			// covers the selection and every served recommendation has
 			// its own audit record; the result is bit-identical.
 			d = memo.d
-			s.recommendsServed++
-			s.journal(sp, replay.Record{K: replay.KindRecommend, N: s.recommendsServed, M: minute})
+			s.journal(sp, replay.Record{K: replay.KindRecommend, N: s.stream.Served(), M: minute})
 			mWireSharedEvals.Inc()
 		default:
 			d, err = s.recommendOne(sp, minute)
@@ -251,7 +250,7 @@ func (s *server) do(res *opResult, r opRequest, depth int64, minute int, sp *tra
 		res.action, res.q, res.degraded = d.Action, d.Value, s.sys.DegradedRecommendations()
 
 	case opViolations:
-		res.violations = s.violations
+		res.violations = s.stream.Violations
 
 	case opCheckpoint:
 		if s.store == nil {
@@ -266,13 +265,14 @@ func (s *server) do(res *opResult, r opRequest, depth int64, minute int, sp *tra
 			res.err = err
 			break
 		}
-		res.violations, res.role, res.hasLearn = s.violations, s.role(), true
+		st := s.stream
+		res.violations, res.role, res.hasLearn = st.Violations, s.role(), true
 		res.learn = learnFingerprint{
 			replaySize:  s.sys.Agent().ReplayBuffer().Len(),
-			events:      s.eventsIngested,
-			onlineSteps: s.onlineSteps,
-			learnSteps:  s.learnSteps,
-			recommends:  s.recommendsServed,
+			events:      st.Events,
+			onlineSteps: st.OnlineSteps,
+			learnSteps:  st.LearnSteps,
+			recommends:  st.Recommends,
 			qsum:        fp,
 		}
 
@@ -299,28 +299,25 @@ func (s *server) shedRecommend(depth int64) bool {
 	return s.cfg.MaxQueue > 0 && depth > int64(s.cfg.MaxQueue)
 }
 
+// servedAudit is the serve path's P_safe check: counted in
+// policy.audit.checks and policy.audit.denials, and traced as a
+// policy.audit child of a sampled request's span. Replays audit with the
+// uncounted Table.SafeTransition instead.
+func (s *server) servedAudit(sp *trace.Span) replay.Audit {
+	t := s.sys.SafeTable()
+	return func(from, to uint64, a env.Action) bool { return t.SafeTransitionTraced(sp, from, to, a) }
+}
+
 // applyEvent is the event op once the core has checked the device and
-// action: audit against P_safe, apply the transition, journal, and (when
-// not shed) feed the learner.
+// action: the stream's event step (transition, P_safe audit, counters),
+// then the journal and, when not shed, the learner.
 func (s *server) applyEvent(sp *trace.Span, depth int64, minute, di int, act device.ActionID) (unsafe bool, err error) {
-	e := s.home.Env
-	a := env.NoOp(e.K())
-	a[di] = act
-	next, err := e.Transition(s.state, a)
+	ev, err := s.stream.Event(s.servedAudit(sp), di, act)
 	if err != nil {
 		return false, err
 	}
-	table := s.sys.SafeTable()
-	unsafe = !table.SafeTransitionTraced(sp, e.StateKey(s.state), e.StateKey(next), a)
-	if unsafe {
-		s.violations++
-		mEventsUnsafe.Inc()
-		s.mUnsafeByDevice[di].Inc()
-	}
-	prev := s.state
-	s.state = next
-	s.eventsIngested++
-	s.journal(sp, replay.Record{K: replay.KindEvent, N: s.eventsIngested, M: minute, D: di, A: act, U: unsafe})
+	s.noteStep(di, ev)
+	s.journal(sp, replay.Record{K: replay.KindEvent, N: ev.Seq, M: minute, D: di, A: act, U: ev.Unsafe})
 	// The audit check above is never shed; under pressure only the
 	// learning ingestion below is dropped.
 	if s.shedLearning(depth) {
@@ -328,78 +325,61 @@ func (s *server) applyEvent(sp *trace.Span, depth int64, minute, di int, act dev
 		mShedEvents.Inc()
 	} else {
 		li := sp.Child("learn.ingest")
-		s.journal(li, replay.Record{K: replay.KindTransition, N: s.onlineSteps + 1, M: minute, D: di, A: act, S: prev})
-		s.ingestTransition(li, prev, a, minute)
+		s.journal(li, replay.Record{K: replay.KindTransition, N: s.stream.OnlineSteps + 1, M: minute, D: di, A: act, S: ev.Prev})
+		s.noteStep(di, s.stream.Observe(li, ev.Prev, ev.Action, minute))
 		li.End()
 	}
 	if s.decisions != nil {
-		verdict := "safe"
-		if unsafe {
-			verdict = "unsafe"
-		}
-		s.logDecision(sp, decisionRecord{
-			Kind: "event", Minute: minute,
-			State:   stateNames(e, s.state),
-			Action:  e.FormatAction(a),
-			Verdict: verdict,
-		})
+		s.logDecision(sp, s.stream.EventDecision(ev, minute), 0)
 	}
-	return unsafe, nil
+	return ev.Unsafe, nil
 }
 
 // recommendOne is one full recommend evaluation (shedding and the batch
-// memo are the core's): evaluate the policy, cross-check against P_safe,
-// score the anomaly filter, and journal the served recommendation.
+// memo are the core's): the stream's policy evaluation and P_safe
+// cross-check, the anomaly score, and the journaled served
+// recommendation.
 func (s *server) recommendOne(sp *trace.Span, minute int) (jarvis.Decision, error) {
-	e := s.home.Env
-	d, err := s.sys.RecommendDecisionTraced(sp, s.state, minute)
+	r, err := s.stream.Decide(s.servedAudit(sp), sp, minute)
 	if err != nil {
 		return jarvis.Decision{}, err
 	}
-	verdict := "safe"
-	if d.Degraded {
-		verdict = "degraded"
-	}
 	var score float64
-	if s.nextScratch == nil {
-		s.nextScratch = make(env.State, e.K())
-	}
-	if terr := e.TransitionInto(s.nextScratch, s.state, d.Action); terr == nil {
-		// Cross-check the recommendation against P_safe before handing
-		// it out. The constrained agent only proposes whitelisted
-		// transitions, so a deny here means the table and the optimizer
-		// have drifted apart — worth a loud verdict in the audit log.
-		next := s.nextScratch
-		if !s.sys.SafeTable().SafeTransitionTraced(sp, e.StateKey(s.state), e.StateKey(next), d.Action) {
-			verdict = "unsafe"
-		}
-		if s.filter != nil {
-			// Score the transition through the benign-anomaly ANN —
-			// the daemon's answer to "how unusual is the action I am
-			// about to suggest".
-			score = s.filter.ScoreTraced(sp, env.Transition{
-				From: s.state, Act: d.Action, To: next,
-				Instance: minute,
-				At:       s.startOfDay.Add(time.Duration(minute) * time.Minute),
-			})
-		}
-	}
-	// Journal the served recommendation: recovery only bumps the
-	// counter, but the offline replay engine re-executes the policy at
-	// this point in the stream to regenerate (or counterfactually
-	// rewrite) the decision below.
-	s.recommendsServed++
-	s.journal(sp, replay.Record{K: replay.KindRecommend, N: s.recommendsServed, M: minute})
-	if s.decisions != nil {
-		s.logDecision(sp, decisionRecord{
-			Kind: "recommend", Minute: minute,
-			State:    stateNames(e, s.state),
-			Action:   e.FormatAction(d.Action),
-			Q:        d.Value,
-			Anomaly:  score,
-			Degraded: d.Degraded,
-			Verdict:  verdict,
+	if s.filter != nil && r.Next != nil {
+		// Score the transition through the benign-anomaly ANN — the
+		// daemon's answer to "how unusual is the action I am about to
+		// suggest".
+		score = s.filter.ScoreTraced(sp, env.Transition{
+			From: s.stream.State, Act: r.Action, To: r.Next,
+			Instance: minute,
+			At:       s.startOfDay.Add(time.Duration(minute) * time.Minute),
 		})
 	}
-	return d, nil
+	// Journal the served recommendation: recovery only counts it, but the
+	// offline replay engine re-executes the policy at this point in the
+	// stream to regenerate (or counterfactually rewrite) the decision.
+	seq := s.stream.Served()
+	s.journal(sp, replay.Record{K: replay.KindRecommend, N: seq, M: minute})
+	if s.decisions != nil {
+		s.logDecision(sp, s.stream.RecommendDecision(r, seq, minute), score)
+	}
+	return r.Decision, nil
+}
+
+// noteStep bumps the daemon metrics an applied step moves, live, in boot
+// replay and on a follower alike: the unsafe-event counters for a denied
+// event, the learner counters for a transition, and the shadow-evaluation
+// cadence on a learn step.
+func (s *server) noteStep(di int, st replay.Step) {
+	if st.Unsafe {
+		mEventsUnsafe.Inc()
+		s.mUnsafeByDevice[di].Inc()
+	}
+	if st.Observed {
+		mOnlineObserved.Inc()
+	}
+	if st.Learned {
+		mOnlineLearnSteps.Inc()
+		s.maybeShadowEval()
+	}
 }

@@ -17,7 +17,6 @@ import (
 	"jarvis/internal/checkpoint"
 	"jarvis/internal/compiled"
 	"jarvis/internal/device"
-	"jarvis/internal/env"
 	"jarvis/internal/health"
 	"jarvis/internal/replay"
 	"jarvis/internal/replica"
@@ -110,7 +109,7 @@ type serverConfig struct {
 	DebugAddr string
 
 	// DecisionLogPath, when non-empty, appends one JSON line per
-	// recommendation and per checked event to this file; see decision.go.
+	// recommendation and per checked event to this file (replay.DecisionLog).
 	DecisionLogPath string
 	// DecisionLogMaxBytes, when positive, rotates the decision log once the
 	// active file would exceed this size (the sealed file is fsynced and
@@ -257,25 +256,19 @@ type server struct {
 	cfg  serverConfig
 	home *smarthome.FullHome
 	sys  *jarvis.System
-	// assets is the replay.Build product the server was assembled from,
-	// retained so a following standby can adopt shipped snapshots through
-	// the same RestoreSnapshot path boot restore uses.
-	assets *replay.Assets
 
 	mu         sync.Mutex
-	state      env.State
 	startOfDay time.Time
-	violations int
 
-	// Online-learning progression, all guarded by mu: events applied,
-	// transitions accepted into the learner, learn steps actually run,
-	// recommendations served, and requests shed by admission control.
-	eventsIngested   int
-	onlineSteps      int
-	learnSteps       int
-	recommendsServed int
-	shedEvents       int
-	shedRecommends   int
+	// stream is the decision stream's position — environment state,
+	// violations, and the event, transition, learn-step and recommend
+	// counters — and the one apply step every event, transition and
+	// recommendation goes through, live or replayed (guarded by mu).
+	stream *replay.Stream
+
+	// Requests shed by admission control (guarded by mu).
+	shedEvents     int
+	shedRecommends int
 
 	// walSpans tracks the first/last kind-local sequence number currently
 	// in the journal (guarded by mu; nil when empty or WAL disabled) —
@@ -309,8 +302,8 @@ type server struct {
 	debug   *http.Server
 	debugLn net.Listener
 
-	// decisions is the structured decision log (replay.DecisionLog, opened
-	// via decision.go); nil when cfg.DecisionLogPath is empty.
+	// decisions is the structured decision log; nil when
+	// cfg.DecisionLogPath is empty.
 	decisions *replay.DecisionLog
 
 	// health/slo/shadow are the policy-health subsystem (health.go): the
@@ -367,11 +360,6 @@ type server struct {
 	// training.
 	restored bool
 
-	// nextScratch is the recommend cross-check's transition destination
-	// buffer (guarded by mu) — keeps the steady-state recommend path free
-	// of per-request state allocations.
-	nextScratch env.State
-
 	// result is the op core's answer to the request it is serving
 	// (guarded by mu; see opResult).
 	result opResult
@@ -412,8 +400,7 @@ func newServer(cfg serverConfig) (*server, error) {
 		cfg:        cfg,
 		home:       assets.Home,
 		sys:        assets.Sys,
-		assets:     assets,
-		state:      assets.Home.InitialState(),
+		stream:     replay.NewStream(assets, replayConfig(cfg)),
 		startOfDay: time.Now().Truncate(24 * time.Hour),
 		stop:       make(chan struct{}),
 		conns:      make(map[net.Conn]struct{}),
@@ -434,7 +421,8 @@ func newServer(cfg serverConfig) (*server, error) {
 	}
 
 	if cfg.DecisionLogPath != "" {
-		dl, err := openDecisionLog(cfg.DecisionLogPath, cfg.DecisionLogMaxBytes, cfg.DecisionLogKeep)
+		dl, err := replay.OpenDecisionLog(cfg.DecisionLogPath,
+			replay.LogOptions{MaxBytes: cfg.DecisionLogMaxBytes, Keep: cfg.DecisionLogKeep})
 		if err != nil {
 			return nil, fmt.Errorf("decision log: %w", err)
 		}
@@ -451,7 +439,7 @@ func newServer(cfg serverConfig) (*server, error) {
 		s.store = st
 	}
 	if s.store != nil {
-		switch err := s.restoreCheckpoint(assets); {
+		switch err := s.restoreCheckpoint(); {
 		case err == nil:
 			s.restored = true
 			mCkptRestores.Inc()
@@ -826,7 +814,7 @@ func (s *server) jsonResponse(req request, res *opResult) response {
 	resp := response{OK: true, Unsafe: res.unsafe, Violations: res.violations, Minute: res.minute,
 		Degraded: res.degraded, Q: res.q, Role: res.role}
 	if res.state != nil {
-		resp.State = stateNames(e, res.state)
+		resp.State = replay.StateNames(e, res.state)
 	}
 	if res.action != nil {
 		resp.Action = e.FormatAction(res.action)
@@ -839,16 +827,21 @@ func (s *server) jsonResponse(req request, res *opResult) response {
 	return resp
 }
 
-// logDecision stamps and appends one record to the decision log (no-op
-// when the log is disabled). Log failures are reported, never fatal: an
-// unwritable audit trail must not take recommendations down with it. A
-// sampled request's trace ID is stamped into the record — the join key
-// between the decision log and /debug/traces.
-func (s *server) logDecision(sp *trace.Span, rec decisionRecord) {
+// logDecision stamps and appends one decision, with the recommendation's
+// anomaly score, to the decision log (no-op when the log is disabled).
+// Log failures are reported, never fatal: an unwritable audit trail must
+// not take recommendations down with it. A sampled request's trace ID is
+// stamped into the record — the join key between the decision log and
+// /debug/traces.
+func (s *server) logDecision(sp *trace.Span, d replay.Decision, anomaly float64) {
 	if s.decisions == nil {
 		return
 	}
-	rec.UnixNs = time.Now().UnixNano()
+	rec := replay.LoggedDecision{
+		UnixNs: time.Now().UnixNano(),
+		Kind:   d.Kind, Minute: d.Minute, State: d.State, Action: d.Action,
+		Q: d.Q, Degraded: d.Degraded, Verdict: d.Verdict, Anomaly: anomaly,
+	}
 	if id := sp.TraceID(); id != 0 {
 		rec.Trace = trace.IDString(id)
 	}
@@ -857,12 +850,4 @@ func (s *server) logDecision(sp *trace.Span, rec decisionRecord) {
 		return
 	}
 	mDecisionsLogged.Inc()
-}
-
-func stateNames(e *env.Environment, s env.State) []string {
-	out := make([]string, len(s))
-	for i, st := range s {
-		out[i] = e.Device(i).Name() + "=" + e.Device(i).StateName(st)
-	}
-	return out
 }

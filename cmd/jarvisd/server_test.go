@@ -337,7 +337,7 @@ func TestCheckpointRestartServesWithoutRetraining(t *testing.T) {
 	if resp := srv1.handle(request{Op: "event", Device: "door-sensor", Action: "power_off"}); !resp.Unsafe {
 		t.Fatalf("sensor-off should be unsafe: %+v", resp)
 	}
-	wantViolations := srv1.violations
+	wantViolations := srv1.stream.Violations
 	if err := srv1.Close(); err != nil {
 		t.Fatalf("first Close: %v", err)
 	}
@@ -349,8 +349,8 @@ func TestCheckpointRestartServesWithoutRetraining(t *testing.T) {
 	if !srv2.restored {
 		t.Fatal("second boot retrained instead of restoring from checkpoint")
 	}
-	if srv2.violations != wantViolations {
-		t.Errorf("restored violations = %d, want %d", srv2.violations, wantViolations)
+	if srv2.stream.Violations != wantViolations {
+		t.Errorf("restored violations = %d, want %d", srv2.stream.Violations, wantViolations)
 	}
 	act2, err := srv2.sys.Recommend(srv2.home.InitialState(), 600)
 	if err != nil {

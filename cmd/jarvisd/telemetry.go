@@ -67,9 +67,11 @@ var (
 		replay.KindTransition: mWALRecordsVec.With(replay.KindTransition),
 		replay.KindRecommend:  mWALRecordsVec.With(replay.KindRecommend),
 	}
-	mWALReplayedEvents = telemetry.Default.Counter("jarvisd.wal.replayed.events")
-	mWALReplayedTxns   = telemetry.Default.Counter("jarvisd.wal.replayed.txns")
-	mWALReplayedRecs   = telemetry.Default.Counter("jarvisd.wal.replayed.recs")
+	mWALReplayed = map[string]*telemetry.Counter{
+		replay.KindEvent:      telemetry.Default.Counter("jarvisd.wal.replayed.events"),
+		replay.KindTransition: telemetry.Default.Counter("jarvisd.wal.replayed.txns"),
+		replay.KindRecommend:  telemetry.Default.Counter("jarvisd.wal.replayed.recs"),
+	}
 
 	// Online learning driven by live (or replayed) traffic.
 	mOnlineObserved   = telemetry.Default.Counter("jarvisd.online.observed")

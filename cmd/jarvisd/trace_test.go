@@ -8,6 +8,7 @@ import (
 	"strings"
 	"testing"
 
+	"jarvis/internal/replay"
 	"jarvis/internal/trace"
 )
 
@@ -128,7 +129,7 @@ func TestDecisionLogCarriesTraceID(t *testing.T) {
 		t.Fatalf("read decision log: %v", err)
 	}
 	lines := strings.Split(strings.TrimSpace(string(data)), "\n")
-	var rec decisionRecord
+	var rec replay.LoggedDecision
 	if err := json.Unmarshal([]byte(lines[len(lines)-1]), &rec); err != nil {
 		t.Fatalf("decision line: %v", err)
 	}
@@ -248,7 +249,7 @@ func TestTracingDisabledByDefault(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var rec decisionRecord
+	var rec replay.LoggedDecision
 	if err := json.Unmarshal([]byte(strings.TrimSpace(string(data))), &rec); err != nil {
 		t.Fatal(err)
 	}

@@ -1,9 +1,7 @@
 package main
 
 import (
-	"jarvis/internal/env"
 	"jarvis/internal/replay"
-	"jarvis/internal/rl"
 	"jarvis/internal/trace"
 	"jarvis/internal/wal"
 )
@@ -87,7 +85,7 @@ func (s *server) openWAL() {
 	if rs := wl.Recovery(); rs.TruncatedBytes > 0 {
 		s.cfg.Logf("jarvisd: wal recovery truncated %d torn bytes", rs.TruncatedBytes)
 	}
-	events0, txns0 := s.eventsIngested, s.onlineSteps
+	events0, txns0 := s.stream.Events, s.stream.OnlineSteps
 	err = wl.Replay(func(b []byte) error {
 		rec, derr := replay.DecodeRecord(b)
 		if derr != nil {
@@ -96,7 +94,9 @@ func (s *server) openWAL() {
 			s.cfg.Logf("jarvisd: wal replay: skipping undecodable record: %v", derr)
 			return nil
 		}
-		s.applyWALRecord(rec)
+		if _, ok := s.replayRecord("wal replay", rec); ok {
+			mWALReplayed[rec.K].Inc()
+		}
 		// Even a record the checkpoint already covers still sits in the
 		// journal until the next reset; the span map reports what is on
 		// disk, not what was applied.
@@ -106,97 +106,24 @@ func (s *server) openWAL() {
 	if err != nil {
 		s.cfg.Logf("jarvisd: wal replay stopped early: %v", err)
 	}
-	if s.eventsIngested != events0 || s.onlineSteps != txns0 {
+	if s.stream.Events != events0 || s.stream.OnlineSteps != txns0 {
 		s.cfg.Logf("jarvisd: wal replay reapplied %d events, %d learning transitions",
-			s.eventsIngested-events0, s.onlineSteps-txns0)
+			s.stream.Events-events0, s.stream.OnlineSteps-txns0)
 	}
 }
 
-// applyWALRecord replays one journaled record through the same code the
-// live path runs, skipping records the restored checkpoint already covers.
-func (s *server) applyWALRecord(rec replay.Record) {
-	e := s.home.Env
-	switch rec.K {
-	case replay.KindEvent:
-		if rec.N <= s.eventsIngested {
-			return // captured by the checkpoint this run restored from
-		}
-		if rec.D < 0 || rec.D >= e.K() {
-			s.cfg.Logf("jarvisd: wal replay: evt #%d has bad device %d", rec.N, rec.D)
-			return
-		}
-		a := env.NoOp(e.K())
-		a[rec.D] = rec.A
-		next, err := e.Transition(s.state, a)
-		if err != nil {
-			s.cfg.Logf("jarvisd: wal replay: evt #%d does not apply: %v", rec.N, err)
-			return
-		}
-		// Re-derive the safety verdict instead of trusting the journaled
-		// flag: the restored P_safe is deterministic, and recomputing keeps
-		// the replayed violation count honest even against a stale record.
-		table := s.sys.SafeTable()
-		if !table.SafeTransition(e.StateKey(s.state), e.StateKey(next), a) {
-			s.violations++
-			mEventsUnsafe.Inc()
-			s.mUnsafeByDevice[rec.D].Inc()
-		}
-		s.state = next
-		s.eventsIngested++
-		mWALReplayedEvents.Inc()
-
-	case replay.KindTransition:
-		if rec.N <= s.onlineSteps {
-			return
-		}
-		if len(rec.S) != e.K() || rec.D < 0 || rec.D >= e.K() {
-			s.cfg.Logf("jarvisd: wal replay: txn #%d malformed", rec.N)
-			return
-		}
-		a := env.NoOp(e.K())
-		a[rec.D] = rec.A
-		s.ingestTransition(nil, rec.S, a, rec.M)
-		mWALReplayedTxns.Inc()
-
-	case replay.KindRecommend:
-		// A recommendation has no state effect; daemon recovery only bumps
-		// the counter so a post-crash checkpoint stays sequence-correct.
-		// (The offline engine is what re-executes the policy here.)
-		if rec.N <= s.recommendsServed {
-			return
-		}
-		s.recommendsServed++
-		mWALReplayedRecs.Inc()
-
-	default:
-		s.cfg.Logf("jarvisd: wal replay: unknown record kind %q", rec.K)
+// replayRecord applies one journaled or shipped record through the
+// stream's replay step, with the uncounted audit every replay uses, and
+// bumps what noteStep bumps. A record the stream rejects is logged under
+// label and skipped. ok is false for it and for a record the position
+// already covers (the checkpoint this run restored, or the snapshot a
+// follower adopted).
+func (s *server) replayRecord(label string, rec replay.Record) (step replay.Step, ok bool) {
+	step, err := s.stream.Replay(rec, s.sys.SafeTable().SafeTransition)
+	if err != nil {
+		s.cfg.Logf("jarvisd: %s: %v", label, err)
+		return step, false
 	}
-}
-
-// ingestTransition feeds one observed transition into the online learner:
-// reward + replay buffer via ObserveTransition, then one learn step every
-// OnlineTrainEvery transitions. The live event path and WAL replay both
-// come through here with identical inputs, and each learn step draws from
-// an RNG seeded only by (daemon seed, transition count) — never by
-// wall-clock or by how the process got here — so a crashed-and-replayed
-// daemon (and the offline replay engine, which calls rl.StepRNG the same
-// way) walks the exact training trajectory of one that never crashed.
-func (s *server) ingestTransition(sp *trace.Span, prev env.State, a env.Action, minute int) {
-	s.onlineSteps++
-	if _, _, err := s.sys.ObserveTransition(prev, a, minute); err != nil {
-		s.cfg.Logf("jarvisd: online observe failed: %v", err)
-		return
-	}
-	mOnlineObserved.Inc()
-	if s.cfg.OnlineTrainEvery > 0 && s.onlineSteps%s.cfg.OnlineTrainEvery == 0 {
-		ran, err := s.sys.LearnOnlineTraced(sp, rl.StepRNG(s.cfg.Seed, s.onlineSteps))
-		switch {
-		case err != nil:
-			s.cfg.Logf("jarvisd: online learn step failed: %v", err)
-		case ran:
-			s.learnSteps++
-			mOnlineLearnSteps.Inc()
-			s.maybeShadowEval()
-		}
-	}
+	s.noteStep(rec.D, step)
+	return step, step.Seq > 0
 }

@@ -6,7 +6,6 @@ import (
 	"io"
 
 	"jarvis/internal/env"
-	"jarvis/internal/rl"
 	"jarvis/internal/wal"
 )
 
@@ -50,25 +49,19 @@ type StreamStats struct {
 }
 
 // Replayer re-executes a recorded WAL stream against freshly built (or
-// snapshot-restored) assets. It mirrors the daemon's ingest paths exactly
-// — same transition application, same re-derived P_safe verdicts, same
-// every-Nth learn steps drawn from rl.StepRNG — so a replay of an
-// unmodified configuration walks bit-for-bit the trajectory the daemon
-// walked. ForkAt installs a mutation (e.g. SwapPolicy) that is applied
-// once the stream reaches a given event sequence number; decisions are
-// only emitted from the fork point on.
+// snapshot-restored) assets. Every record applies through a Stream's
+// replay step, the one the daemon's recovery and its hot standby use,
+// with the uncounted P_safe audit, so a replay of an unmodified
+// configuration walks bit-for-bit the trajectory the daemon walked.
+// ForkAt installs a mutation (e.g. SwapPolicy) that is applied once the
+// stream reaches a given event sequence number; decisions are only
+// emitted from the fork point on.
 type Replayer struct {
 	cfg Config
 	a   *Assets
+	st  *Stream
 
-	state      env.State
-	violations int
-	events     int
-	steps      int // accepted learning transitions (txn sequence)
-	recs       int // recommendations (rec sequence)
-	learnSteps int
-
-	at     int // fork once events reaches this sequence number
+	at     int // fork once the stream has applied this many events
 	forked bool
 	origin bool // no snapshot counters skipped anything
 	mutate func(*Assets) error
@@ -81,26 +74,14 @@ type Replayer struct {
 // optionally trained or snapshot-restored). The zero fork point means the
 // whole stream is re-executed and emitted — verify mode.
 func NewReplayer(a *Assets, cfg Config) *Replayer {
-	return &Replayer{
-		cfg:    cfg.withDefaults(),
-		a:      a,
-		state:  a.Home.InitialState(),
-		origin: true,
-	}
+	return &Replayer{cfg: cfg.withDefaults(), a: a, st: NewStream(a, cfg), origin: true}
 }
 
-// SeedSnapshot primes the replayer's runtime state from a checkpoint
-// generation: environment state, violation count, and the per-kind
-// sequence counters that make already-covered WAL records no-ops.
+// SeedSnapshot positions the replayer's stream at the checkpoint
+// generation its assets were restored from: state, violation count, and
+// the sequence counters that make already-covered records no-ops.
 func (r *Replayer) SeedSnapshot(ck *Snapshot) {
-	if len(ck.State) == len(r.state) {
-		r.state = ck.State
-	}
-	r.violations = ck.Violations
-	r.events = ck.Events
-	r.steps = ck.OnlineSteps
-	r.recs = ck.Recommends
-	r.learnSteps = ck.LearnSteps
+	r.st.seed(ck)
 	if ck.Events > 0 || ck.OnlineSteps > 0 || ck.Recommends > 0 {
 		r.origin = false
 	}
@@ -121,16 +102,13 @@ func (r *Replayer) Decisions() []Decision { return r.decisions }
 // Stats returns the replay's stream statistics.
 func (r *Replayer) Stats() StreamStats {
 	st := r.stats
-	st.Violations = r.violations
-	st.Events = r.events
-	st.Transitions = r.steps
-	st.Recommends = r.recs
-	st.LearnSteps = r.learnSteps
+	st.Violations, st.Events, st.Transitions = r.st.Violations, r.st.Events, r.st.OnlineSteps
+	st.Recommends, st.LearnSteps = r.st.Recommends, r.st.LearnSteps
 	return st
 }
 
 // State returns the replayer's current environment state.
-func (r *Replayer) State() env.State { return r.state }
+func (r *Replayer) State() env.State { return r.st.State }
 
 // Origin reports whether this replay covers the stream from the very
 // beginning (no checkpoint counters skipped anything) — the case where
@@ -166,133 +144,51 @@ func (r *Replayer) Run(dir string) error {
 	}
 }
 
-// Step applies one WAL record, mirroring the daemon's live ingest paths.
+// Step applies one WAL record through the stream's replay step and,
+// past the fork, emits its decision. A record the stream rejects is
+// logged and skipped.
 func (r *Replayer) Step(rec Record) error {
-	if !r.forked && r.events >= r.at {
+	if !r.forked && r.st.Events >= r.at {
 		if err := r.fork(); err != nil {
 			return err
 		}
 	}
-	e := r.a.Home.Env
+	audit := r.a.Sys.SafeTable().SafeTransition
+	step, err := r.st.Replay(rec, audit)
+	if err != nil {
+		r.cfg.Logf("replay: %v", err)
+		return nil
+	}
+	if step.Seq == 0 || !r.forked {
+		// Covered by the snapshot, or before the fork: nothing to emit,
+		// and a recommendation needs no re-execution.
+		return nil
+	}
 	switch rec.K {
 	case KindEvent:
-		if rec.N <= r.events {
-			return nil // covered by the snapshot this replay restored from
+		if step.Unsafe {
+			r.stats.Unsafe++
 		}
-		if rec.D < 0 || rec.D >= e.K() {
-			r.cfg.Logf("replay: evt #%d has bad device %d", rec.N, rec.D)
-			return nil
-		}
-		a := env.NoOp(e.K())
-		a[rec.D] = rec.A
-		next, err := e.Transition(r.state, a)
-		if err != nil {
-			r.cfg.Logf("replay: evt #%d does not apply: %v", rec.N, err)
-			return nil
-		}
-		// Re-derive the safety verdict instead of trusting the journaled
-		// flag: the restored P_safe is deterministic, and recomputing keeps
-		// the replayed violation count honest even against a stale record.
-		unsafe := !r.a.Sys.SafeTable().SafeTransition(e.StateKey(r.state), e.StateKey(next), a)
-		if unsafe {
-			r.violations++
-		}
-		r.state = next
-		r.events++
-		if r.forked {
-			verdict := "safe"
-			if unsafe {
-				verdict = "unsafe"
-				r.stats.Unsafe++
-			}
-			r.emit(Decision{
-				Kind: "event", Seq: r.events, Minute: rec.M,
-				State:   stateNames(e, r.state),
-				Action:  e.FormatAction(a),
-				Verdict: verdict,
-			})
-		}
-
+		r.emit(r.st.EventDecision(step, rec.M))
 	case KindTransition:
-		if rec.N <= r.steps {
-			return nil
-		}
-		if len(rec.S) != e.K() || rec.D < 0 || rec.D >= e.K() {
-			r.cfg.Logf("replay: txn #%d malformed", rec.N)
-			return nil
-		}
-		a := env.NoOp(e.K())
-		a[rec.D] = rec.A
-		r.ingestTransition(rec.S, a, rec.M)
-
+		r.stats.TransitionReward += step.Reward
 	case KindRecommend:
-		if rec.N <= r.recs {
-			return nil
-		}
-		r.recs++
-		if !r.forked {
-			// A recommendation has no state effect; pre-fork ones need no
-			// re-execution, only the counter.
-			return nil
-		}
-		d, err := r.a.Sys.RecommendDecision(r.state, rec.M)
+		d, err := r.st.Decide(audit, nil, rec.M)
 		if err != nil {
 			return fmt.Errorf("replay: rec #%d: %w", rec.N, err)
 		}
-		verdict := "safe"
 		if d.Degraded {
-			verdict = "degraded"
 			r.stats.Degraded++
 		}
-		if next, terr := e.Transition(r.state, d.Action); terr == nil {
-			// The same P_safe cross-check the daemon runs before handing a
-			// recommendation out.
-			if !r.a.Sys.SafeTable().SafeTransition(e.StateKey(r.state), e.StateKey(next), d.Action) {
-				verdict = "unsafe"
-				r.stats.Unsafe++
-			}
+		if d.Verdict == "unsafe" {
+			r.stats.Unsafe++
 		}
 		if rw := r.a.SimCfg.Reward; rw != nil {
-			r.stats.RecommendReward += rw.R(r.state, d.Action, rec.M)
+			r.stats.RecommendReward += rw.R(r.st.State, d.Action, rec.M)
 		}
-		r.emit(Decision{
-			Kind: "recommend", Seq: r.recs, Minute: rec.M,
-			State:    stateNames(e, r.state),
-			Action:   e.FormatAction(d.Action),
-			Q:        d.Value,
-			Degraded: d.Degraded,
-			Verdict:  verdict,
-		})
-
-	default:
-		r.cfg.Logf("replay: unknown record kind %q", rec.K)
+		r.emit(r.st.RecommendDecision(d, step.Seq, rec.M))
 	}
 	return nil
-}
-
-// ingestTransition feeds one recorded transition into the online learner
-// exactly as the daemon's live path does: reward + replay buffer via
-// ObserveTransition, then one learn step every OnlineTrainEvery
-// transitions, drawn from an RNG seeded only by (seed, transition count).
-func (r *Replayer) ingestTransition(prev env.State, a env.Action, minute int) {
-	r.steps++
-	_, reward, err := r.a.Sys.ObserveTransition(prev, a, minute)
-	if err != nil {
-		r.cfg.Logf("replay: observe failed: %v", err)
-		return
-	}
-	if r.forked {
-		r.stats.TransitionReward += reward
-	}
-	if r.cfg.OnlineTrainEvery > 0 && r.steps%r.cfg.OnlineTrainEvery == 0 {
-		ran, err := r.a.Sys.LearnOnline(rl.StepRNG(r.cfg.Seed, r.steps))
-		switch {
-		case err != nil:
-			r.cfg.Logf("replay: learn step failed: %v", err)
-		case ran:
-			r.learnSteps++
-		}
-	}
 }
 
 func (r *Replayer) fork() error {
@@ -308,12 +204,4 @@ func (r *Replayer) fork() error {
 func (r *Replayer) emit(d Decision) {
 	r.decisions = append(r.decisions, d)
 	r.stats.Decisions++
-}
-
-func stateNames(e *env.Environment, s env.State) []string {
-	out := make([]string, len(s))
-	for i, st := range s {
-		out[i] = e.Device(i).Name() + "=" + e.Device(i).StateName(st)
-	}
-	return out
 }

@@ -14,7 +14,7 @@ import (
 var testConfig = Config{Seed: 1, LearningDays: 2, Episodes: 2, OnlineTrainEvery: 4}
 
 // buildTrained builds and trains one fresh asset set under testConfig.
-func buildTrained(t *testing.T) *Assets {
+func buildTrained(t testing.TB) *Assets {
 	t.Helper()
 	a, err := Build(testConfig)
 	if err != nil {

@@ -25,14 +25,15 @@ type Source struct {
 // prepare rebuilds the serving state the recorded run started from:
 // deterministic learning assets, then either a snapshot restore (newest
 // usable generation) or fresh training — mirroring newServer's
-// restore-or-train decision. Returns the assets, the snapshot used (nil
-// when training fresh), and its generation number.
-func prepare(cfg Config, src Source) (*Assets, *Snapshot, uint64, error) {
+// restore-or-train decision. Returns a replayer positioned there and the
+// generation it restored (0 when training fresh).
+func prepare(cfg Config, src Source) (*Replayer, uint64, error) {
 	cfg = cfg.withDefaults()
 	a, err := Build(cfg)
 	if err != nil {
-		return nil, nil, 0, err
+		return nil, 0, err
 	}
+	r := NewReplayer(a, cfg)
 	if src.CheckpointPath != "" {
 		retain := src.CheckpointRetain
 		if retain <= 0 {
@@ -44,9 +45,10 @@ func prepare(cfg Config, src Source) (*Assets, *Snapshot, uint64, error) {
 			switch {
 			case lerr == nil:
 				if err := a.RestoreSnapshot(ck, cfg.Logf); err != nil {
-					return nil, nil, 0, err
+					return nil, 0, err
 				}
-				return a, ck, gen, nil
+				r.SeedSnapshot(ck)
+				return r, gen, nil
 			case errors.Is(lerr, os.ErrNotExist):
 				// Empty store: the recorded run trained fresh too.
 			default:
@@ -60,9 +62,9 @@ func prepare(cfg Config, src Source) (*Assets, *Snapshot, uint64, error) {
 		}
 	}
 	if err := a.Train(); err != nil {
-		return nil, nil, 0, err
+		return nil, 0, err
 	}
-	return a, nil, 0, nil
+	return r, 0, nil
 }
 
 // Divergence pinpoints the first place a regenerated decision stream
@@ -130,13 +132,9 @@ type VerifyReport struct {
 // action, Q, degraded, verdict). Wall-clock-dependent fields (UnixNs,
 // Trace, Anomaly) are excluded by construction — see DESIGN.md §12.
 func Verify(opts VerifyOptions) (*VerifyReport, error) {
-	a, ck, gen, err := prepare(opts.Config, opts.Source)
+	r, gen, err := prepare(opts.Config, opts.Source)
 	if err != nil {
 		return nil, err
-	}
-	r := NewReplayer(a, opts.Config)
-	if ck != nil {
-		r.SeedSnapshot(ck)
 	}
 	if err := r.Run(opts.Source.WALDir); err != nil {
 		return nil, err
@@ -148,13 +146,13 @@ func Verify(opts VerifyOptions) (*VerifyReport, error) {
 	rep := &VerifyReport{
 		Mode:              "verify",
 		WALDir:            opts.Source.WALDir,
-		Restored:          ck != nil,
+		Restored:          gen > 0,
 		CheckpointGen:     gen,
 		Replayed:          r.Stats(),
 		RecordedDecisions: len(recorded),
 		Match:             true,
 	}
-	if fp, err := a.Sys.QFingerprint(); err == nil {
+	if fp, err := r.a.Sys.QFingerprint(); err == nil {
 		rep.QFingerprint = fp
 	}
 	replayed := r.Decisions()
@@ -314,13 +312,9 @@ func WhatIf(opts WhatIfOptions) (*WhatIfReport, error) {
 		return nil, errors.New("replay: what-if needs a substituted policy (Q and/or table)")
 	}
 	run := func(mutate func(*Assets) error) (*Replayer, error) {
-		a, ck, _, err := prepare(opts.Config, opts.Source)
+		r, _, err := prepare(opts.Config, opts.Source)
 		if err != nil {
 			return nil, err
-		}
-		r := NewReplayer(a, opts.Config)
-		if ck != nil {
-			r.SeedSnapshot(ck)
 		}
 		r.ForkAt(opts.At, mutate)
 		if err := r.Run(opts.Source.WALDir); err != nil {
