@@ -20,11 +20,10 @@ race:
 race-daemon:
 	$(GO) test -race ./cmd/jarvisd/
 
-# The batched compute core's concurrency surface: the nn worker pool, the
-# parallel experiment harness, and the metrics registry and span tracer
-# they report into, plus the WAL, the replay engine built on it, and the
-# WAL-shipping replication layer (shipper/follower streams) with its
-# fault injectors.
+# The concurrency surface: the batched nn and rl paths, the parallel
+# experiment harness, and the metrics registry and span tracer they report
+# into, plus the WAL, the replay engine built on it, and the WAL-shipping
+# replication layer (shipper/follower streams) with its fault injectors.
 race-core:
 	$(GO) test -race ./internal/nn/ ./internal/rl/ ./internal/experiment/ ./internal/telemetry/ ./internal/trace/ ./internal/wal/ ./internal/replay/ ./internal/compiled/ ./internal/wire/ ./internal/health/ ./internal/replica/ ./internal/fault/ ./internal/tsdb/
 
@@ -67,23 +66,26 @@ alerts:
 # Short fuzz passes over every decoder that reads untrusted bytes: WAL
 # segment frames, checkpoint/nn payloads, policy tables, binary wire
 # frames, replication protocol messages, and the journal records those
-# frames carry, decoded and applied. Go fuzzing allows one -fuzz target
-# per invocation, hence one run per decoder.
+# frames carry, decoded and applied; plus the nn kernels, which must match
+# naive loops bit for bit on inputs with signed zeros. Go fuzzing allows
+# one -fuzz target per invocation, hence one run per target.
 FUZZTIME ?= 5s
 
 fuzz:
 	$(GO) test -run xxx -fuzz FuzzReadSegment -fuzztime $(FUZZTIME) ./internal/wal/
 	$(GO) test -run xxx -fuzz FuzzLoad -fuzztime $(FUZZTIME) ./internal/nn/
+	$(GO) test -run xxx -fuzz FuzzKernels -fuzztime $(FUZZTIME) ./internal/nn/
 	$(GO) test -run xxx -fuzz FuzzLoadTable -fuzztime $(FUZZTIME) ./internal/policy/
 	$(GO) test -run xxx -fuzz FuzzReadFrame -fuzztime $(FUZZTIME) ./internal/wire/
 	$(GO) test -run xxx -fuzz FuzzParseMessage -fuzztime $(FUZZTIME) ./internal/replica/
 	$(GO) test -run xxx -fuzz FuzzApplyRecord -fuzztime $(FUZZTIME) ./internal/replay/
 
 # Measure the batched compute core and write BENCH_core.json, plus the
-# allocation-asserting micro-benchmarks of the root package.
+# allocation-asserting micro-benchmarks of the root package, among them the
+# deep-Q learn step at the daemon's shape.
 bench:
 	$(GO) run ./cmd/jarvis bench
-	$(GO) test -run xxx -bench 'ForwardBatch|TrainBatchParallel|ReplaySampleInto|NNTrainBatch|NNForward$$|Table3ActionQuality' -benchmem .
+	$(GO) test -run xxx -bench 'ForwardBatch|TrainBatch64|DQNLearnStep|ReplaySampleInto|NNTrainBatch|NNForward$$|Table3ActionQuality' -benchmem .
 
 # Serving-path benchmark: spawn the legacy shape (JSON + DQN, compiled
 # tables off) and the fast shape (binary wire + tabular + compiled tables),

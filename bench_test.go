@@ -16,6 +16,7 @@ import (
 	"jarvis/internal/experiment"
 	"jarvis/internal/nn"
 	"jarvis/internal/policy"
+	"jarvis/internal/replay"
 	"jarvis/internal/reward"
 	"jarvis/internal/rl"
 	"jarvis/internal/smarthome"
@@ -453,7 +454,7 @@ func BenchmarkForwardBatch(b *testing.B) {
 	}
 }
 
-func BenchmarkTrainBatchParallel(b *testing.B) {
+func BenchmarkTrainBatch64(b *testing.B) {
 	rng := rand.New(rand.NewSource(1))
 	net := nn.MustNew(nn.Config{Inputs: 40, Layers: []nn.LayerSpec{
 		{Units: 64, Act: nn.ReLU}, {Units: 64, Act: nn.ReLU}, {Units: 42, Act: nn.Linear},
@@ -486,6 +487,47 @@ func BenchmarkTrainBatchParallel(b *testing.B) {
 		if _, err := net.TrainBatch(batch, nn.Huber, opt); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+// BenchmarkDQNLearnStep times one online deep-Q learn step at the
+// daemon's -dnn shape: the full home's 36 features through two 64-unit
+// ReLU layers to 42 mini-actions, a 32-experience batch sampled from the
+// replay buffer training left behind, every successor's safe actions
+// probed against the learned P_safe, and each step's RNG seeded to draw
+// what rl.StepRNG draws for that step (reseeding one source instead of
+// allocating one, so the allocation assertion sees only the step).
+func BenchmarkDQNLearnStep(b *testing.B) {
+	a, err := replay.Build(replay.Config{Seed: 1, LearningDays: 2, Episodes: 2, UseDNN: true})
+	if err != nil {
+		b.Fatal(err)
+	}
+	if err := a.Train(); err != nil {
+		b.Fatal(err)
+	}
+	dqn, ok := a.Sys.Agent().Q().(*rl.DQN)
+	if !ok || dqn.Net().Inputs() != 36 || dqn.Net().Outputs() != 42 {
+		b.Fatalf("Q backend %T is not the 36→…→42 DQN", a.Sys.Agent().Q())
+	}
+	rng := rand.New(rand.NewSource(0))
+	n := 0
+	step := func() {
+		n++
+		rng.Seed(rl.StepSeed(1, uint64(n)))
+		if ran, err := a.Sys.LearnOnline(rng); err != nil || !ran {
+			b.Fatalf("learn step %d: ran %v, err %v", n, ran, err)
+		}
+	}
+	for i := 0; i < 8; i++ { // warm the batch, target and arena buffers
+		step()
+	}
+	if allocs := testing.AllocsPerRun(20, step); allocs != 0 {
+		b.Fatalf("learn step allocates %.1f objects per call, want 0", allocs)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		step()
 	}
 }
 

@@ -20,18 +20,7 @@ import (
 // unsafeEvent powers the door sensor off, which P_safe never admits.
 var unsafeEvent = request{Op: "event", Device: "door-sensor", Action: "power_off"}
 
-// oracleScript cycles back to the state it starts from with events whose
-// verdicts differ: the thermostat's power_off is a manual allowance, safe
-// from any state, while the short learning phase of durableConfig
-// whitelists none of the others.
-var oracleScript = []request{
-	{Op: "event", Device: "thermostat", Action: "power_off"},
-	{Op: "event", Device: "tv", Action: "power_on"},
-	{Op: "event", Device: "thermostat", Action: "power_on"},
-	{Op: "event", Device: "tv", Action: "power_off"},
-}
-
-// recordSeededStream drives s through oracleScript in order, with the
+// recordSeededStream drives s through eventScript in order, with the
 // unsafe event and about one recommendation per three events placed by
 // seed. Returns how many recommendations were served.
 func recordSeededStream(t *testing.T, s *server, seed int64, events int) int {
@@ -44,7 +33,7 @@ func recordSeededStream(t *testing.T, s *server, seed int64, events int) int {
 				t.Fatalf("unsafe event: %+v", resp)
 			}
 		}
-		req := oracleScript[i%len(oracleScript)]
+		req := eventScript[i%len(eventScript)]
 		if resp := s.handle(req); !resp.OK {
 			t.Fatalf("event %d (%s %s): %s", i, req.Device, req.Action, resp.Error)
 		}

@@ -130,6 +130,7 @@ func TestCrashRecoverySIGKILL(t *testing.T) {
 	if want.LearnSteps == 0 {
 		t.Fatal("victim ran no learn steps; the crash would prove nothing")
 	}
+	assertMixedVerdicts(t, want)
 
 	// SIGKILL: no signal handler, no final checkpoint, no WAL reset.
 	if err := cmd.Process.Kill(); err != nil {

@@ -36,15 +36,18 @@ func durableConfig(dir string) serverConfig {
 	}
 }
 
-// eventScript cycles tv and fridge toggles — legal from any state they
-// reach — so every event is accepted and (with shedding off) ingested.
-// Shared with the SIGKILL crash harness, which must drive the victim, the
-// successor, and the control through identical traffic.
+// eventScript cycles back to the home's initial state every four events,
+// so every event is accepted and (with shedding off) ingested, with events
+// whose verdicts differ: the thermostat's power_off is a manual allowance,
+// safe from any state, while the short learning phase of durableConfig
+// whitelists none of the others. Shared with the SIGKILL harnesses, which
+// must drive the victim, the successor, and the control through identical
+// traffic.
 var eventScript = []request{
+	{Op: "event", Device: "thermostat", Action: "power_on"},
 	{Op: "event", Device: "tv", Action: "power_on"},
-	{Op: "event", Device: "fridge", Action: "open_door"},
+	{Op: "event", Device: "thermostat", Action: "power_off"},
 	{Op: "event", Device: "tv", Action: "power_off"},
-	{Op: "event", Device: "fridge", Action: "close_door"},
 }
 
 // feedEvents drives n scripted device events through the full request
@@ -67,6 +70,16 @@ func learnState(t *testing.T, s *server) response {
 		t.Fatalf("learnstate: %s", resp.Error)
 	}
 	return resp
+}
+
+// assertMixedVerdicts fails unless the events in learnstate ls include
+// both P_safe verdicts, so the checks comparing a run's event verdicts
+// with a replay's compare safe ones as well as unsafe ones.
+func assertMixedVerdicts(t *testing.T, ls response) {
+	t.Helper()
+	if ls.Violations == 0 || ls.Violations >= ls.Events {
+		t.Fatalf("%d of %d events unsafe: the traffic must carry both verdicts", ls.Violations, ls.Events)
+	}
 }
 
 // assertSameLearnState asserts two daemons are in identical training
@@ -105,6 +118,7 @@ func TestWALReplayRestoresLearningState(t *testing.T) {
 	if want.LearnSteps == 0 {
 		t.Fatal("no learn steps ran; the drill would prove nothing")
 	}
+	assertMixedVerdicts(t, want)
 	// Crash: no Close, no final checkpoint, no WAL reset.
 
 	successor, err := newServer(cfg)

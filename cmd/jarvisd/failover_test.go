@@ -214,6 +214,7 @@ func TestFailoverPromotionSIGKILL(t *testing.T) {
 	if !promoted.OK {
 		t.Fatalf("promoted learnstate: %s", promoted.Error)
 	}
+	assertMixedVerdicts(t, promoted)
 	k, m := promoted.Events, promoted.OnlineSteps
 
 	// The lost tail is bounded: everything acked before the healthy

@@ -64,6 +64,7 @@ func TestReplayVerifyReproducesDecisionLog(t *testing.T) {
 
 	const events = 48
 	recs := feedMixedTraffic(t, srv, events)
+	assertMixedVerdicts(t, learnState(t, srv))
 	// The verification must run against the recorded artifacts BEFORE
 	// Close: shutdown saves a final checkpoint and resets the WAL.
 	if err := srv.decisions.Sync(); err != nil {

@@ -217,7 +217,7 @@ func (c *compiler) cell(stateKey uint64, bucket int) {
 	// Pre-apply the serving path's FSM guard: System.Recommend falls back
 	// to the safe NoOp (value 0, degraded) when the composition does not
 	// survive a transition check.
-	if err := c.e.TransitionInto(c.scratch, s, act); err != nil {
+	if !c.e.TransitionOK(c.scratch, s, act) {
 		d = Decision{Action: env.NoOp(c.e.K()), Degraded: true}
 	}
 	pi, seen := c.dedup[c.key(d)]

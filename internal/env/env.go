@@ -266,19 +266,41 @@ func (e *Environment) Transition(s State, a Action) (State, error) {
 // reuse one buffer instead of allocating per step. dst may alias s. On
 // error dst's contents are unspecified.
 func (e *Environment) TransitionInto(dst, s State, a Action) error {
-	if len(s) != len(e.devices) || len(a) != len(e.devices) || len(dst) != len(e.devices) {
+	switch i := e.transitionInto(dst, s, a); {
+	case i < 0:
+		return nil
+	case i == len(e.devices):
 		return fmt.Errorf("env: transition arity mismatch: %d devices, state %d, action %d, dst %d",
 			len(e.devices), len(s), len(a), len(dst))
+	default:
+		d := e.devices[i]
+		return fmt.Errorf("env: device %s: action %s invalid in state %s",
+			d.Name(), d.ActionName(a[i]), d.StateName(s[i]))
+	}
+}
+
+// TransitionOK is TransitionInto reporting only whether the transition is
+// valid. Loops that probe many candidate actions and discard the invalid
+// ones (P_safe checks) call it to skip building an error per candidate.
+func (e *Environment) TransitionOK(dst, s State, a Action) bool {
+	return e.transitionInto(dst, s, a) < 0
+}
+
+// transitionInto applies Δ into dst. It returns -1 on success, len(devices)
+// on an arity mismatch, or the index of the first device that rejects its
+// action.
+func (e *Environment) transitionInto(dst, s State, a Action) int {
+	if len(s) != len(e.devices) || len(a) != len(e.devices) || len(dst) != len(e.devices) {
+		return len(e.devices)
 	}
 	for i := range e.devices {
 		ns, ok := e.devices[i].Next(s[i], a[i])
 		if !ok {
-			return fmt.Errorf("env: device %s: action %s invalid in state %s",
-				e.devices[i].Name(), e.devices[i].ActionName(a[i]), e.devices[i].StateName(s[i]))
+			return i
 		}
 		dst[i] = ns
 	}
-	return nil
+	return -1
 }
 
 // Apply resolves a set of requests for one interval into a composite action

@@ -131,6 +131,36 @@ func TestTransition(t *testing.T) {
 	}
 }
 
+// TestTransitionOKMatchesTransitionInto: the boolean form agrees with the
+// error form on valid, invalid and mis-sized transitions, and the error
+// texts name the first rejecting device.
+func TestTransitionOKMatchesTransitionInto(t *testing.T) {
+	e := testEnv(t)
+	dst := make(State, 3)
+	for _, c := range []struct {
+		s    State
+		a    Action
+		want string
+	}{
+		{State{1, 0, 0}, Action{0, 1, device.NoAction}, ""},
+		{State{0, 0, 0}, Action{0, 1, device.NoAction}, "env: device lock: action lock invalid in state locked"},
+		{State{1, 1, 0}, Action{0, 1, device.NoAction}, "env: device light: action power_on invalid in state on"},
+		{State{0}, Action{0, 1, device.NoAction}, "env: transition arity mismatch: 3 devices, state 1, action 3, dst 3"},
+	} {
+		err := e.TransitionInto(dst, c.s, c.a)
+		got := ""
+		if err != nil {
+			got = err.Error()
+		}
+		if got != c.want {
+			t.Errorf("TransitionInto(%v, %v) = %q, want %q", c.s, c.a, got, c.want)
+		}
+		if ok := e.TransitionOK(dst, c.s, c.a); ok != (c.want == "") {
+			t.Errorf("TransitionOK(%v, %v) = %v, want %v", c.s, c.a, ok, c.want == "")
+		}
+	}
+}
+
 func TestApplyConstraints(t *testing.T) {
 	e := testEnv(t)
 	s := State{1, 0, 0}

@@ -231,7 +231,7 @@ func bestAction(lab *Lab, rs *reward.Smart, s env.State, t int, constrained bool
 		best := env.NoOp(k)
 		bestQ := rs.R(s, best, t)
 		for _, a := range lab.BehaviorsFrom(e.StateKey(s)) {
-			if e.TransitionInto(next, s, a) != nil {
+			if !e.TransitionOK(next, s, a) {
 				continue
 			}
 			if q := rs.R(s, a, t); q > bestQ {
@@ -243,7 +243,7 @@ func bestAction(lab *Lab, rs *reward.Smart, s env.State, t int, constrained bool
 	act := env.NoOp(k)
 	cand := make(env.Action, k) // candidate scratch, reused per device action
 	quality := func(a env.Action) (float64, bool) {
-		if e.TransitionInto(next, s, a) != nil {
+		if !e.TransitionOK(next, s, a) {
 			return 0, false
 		}
 		return rs.Utility(s, a, t), true

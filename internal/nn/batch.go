@@ -1,101 +1,9 @@
 package nn
 
 import (
+	"errors"
 	"fmt"
-	"runtime"
-	"sync"
 )
-
-// Worker pool for batched kernels, sized by GOMAXPROCS and started lazily
-// on first use. Tasks are preallocated kernelCall structs dispatched over a
-// channel to persistent goroutines — no closures, so a steady-state
-// TrainBatch performs zero allocations even when sharded.
-//
-// Every kernel shards over write-disjoint ranges (batch rows for
-// forward/input gradients, output rows for parameter gradients) and each
-// element is summed in a fixed order inside one shard, so results are
-// bit-identical regardless of worker count.
-
-const (
-	opForward = iota
-	opInputGrad
-	opParamGrad
-)
-
-// kernelCall is one shard of a batched kernel. The slices alias network
-// weights and scratch-arena buffers owned by the submitting goroutine; the
-// arena's WaitGroup sequences reuse.
-type kernelCall struct {
-	op                int
-	w, bias, x, z, dz []float64
-	dx, gw, gb        []float64
-	in, out, rows     int
-	lo, hi            int
-	wg                *sync.WaitGroup
-}
-
-func runKernel(c *kernelCall) {
-	switch c.op {
-	case opForward:
-		forwardRows(c.w, c.bias, c.x, c.z, c.in, c.out, c.lo, c.hi)
-	case opInputGrad:
-		inputGradRows(c.w, c.dz, c.dx, c.in, c.out, c.lo, c.hi)
-	case opParamGrad:
-		paramGradRows(c.x, c.dz, c.gw, c.gb, c.in, c.out, c.rows, c.lo, c.hi)
-	}
-}
-
-var (
-	poolOnce sync.Once
-	poolSize int
-	workCh   chan *kernelCall
-)
-
-// startPool launches the worker pool with n goroutines. The first caller
-// wins; production code reaches it through ensurePool (n = GOMAXPROCS).
-// Tests may call it directly to exercise the sharded path on small hosts.
-func startPool(n int) {
-	poolOnce.Do(func() {
-		if n < 1 {
-			n = 1
-		}
-		poolSize = n
-		if n == 1 {
-			return // single-threaded: every kernel runs inline
-		}
-		workCh = make(chan *kernelCall, n*2)
-		for i := 0; i < n; i++ {
-			go func() {
-				for c := range workCh {
-					runKernel(c)
-					c.wg.Done()
-				}
-			}()
-		}
-	})
-}
-
-func ensurePool() {
-	startPool(runtime.GOMAXPROCS(0))
-}
-
-// resetPoolForTest tears the pool down and restarts it with n workers so
-// tests can exercise the sharded path on single-core hosts. Only safe when
-// no batched call is in flight; never used outside tests.
-func resetPoolForTest(n int) {
-	if workCh != nil {
-		close(workCh)
-	}
-	poolOnce = sync.Once{}
-	poolSize = 0
-	workCh = nil
-	startPool(n)
-}
-
-// minParallelOps is the approximate scalar-op count below which sharding a
-// kernel is not worth the handoff; package tests lower it to force the
-// parallel path on small fixtures.
-var minParallelOps = 1 << 15
 
 // batchScratch is a per-network arena for batched passes: flat row-major
 // activation/gradient planes per layer, sized once for the largest batch
@@ -104,6 +12,10 @@ var minParallelOps = 1 << 15
 // batched call.
 type batchScratch struct {
 	rows int // allocated batch capacity
+	// fwd is the row count of the forward pass the planes hold, for
+	// TrainForwarded; 0 once a training step or a weight copy made them
+	// stale.
+	fwd int
 
 	x0       []float64   // rows×inputs packed input batch
 	z, a     [][]float64 // per layer, rows×out
@@ -111,28 +23,25 @@ type batchScratch struct {
 	dx       [][]float64 // per layer, rows×in (layer 0 unused)
 	dOut     []float64   // rows×outputs, loss gradient
 	outViews [][]float64 // row views into the last layer's a
-
-	calls []kernelCall
-	wg    sync.WaitGroup
+	idx      []int       // the kernels' index compaction buffer
 }
 
-// ensureScratch returns the network's batch arena, (re)grown to hold at
-// least rows batch rows. Growth allocates; steady-state reuse does not.
-func (n *Network) ensureScratch(rows int) *batchScratch {
-	s := n.scratch
-	if s == nil {
-		s = &batchScratch{}
-		n.scratch = s
-	}
-	if rows <= s.rows {
+// arena returns the arena *sp, (re)grown to hold at least rows batch rows.
+// Growth allocates; steady-state reuse does not.
+func (n *Network) arena(sp **batchScratch, rows int) *batchScratch {
+	if s := *sp; s != nil && rows <= s.rows {
 		return s
 	}
 	L := len(n.layers)
-	s.x0 = make([]float64, rows*n.inputs)
-	s.z = make([][]float64, L)
-	s.a = make([][]float64, L)
-	s.dz = make([][]float64, L)
-	s.dx = make([][]float64, L)
+	s := &batchScratch{
+		rows: rows,
+		x0:   make([]float64, rows*n.inputs),
+		z:    make([][]float64, L),
+		a:    make([][]float64, L),
+		dz:   make([][]float64, L),
+		dx:   make([][]float64, L),
+	}
+	width := rows
 	for i, l := range n.layers {
 		s.z[i] = make([]float64, rows*l.out)
 		s.a[i] = make([]float64, rows*l.out)
@@ -140,7 +49,9 @@ func (n *Network) ensureScratch(rows int) *batchScratch {
 		if i > 0 {
 			s.dx[i] = make([]float64, rows*l.in)
 		}
+		width = max(width, l.in, l.out)
 	}
+	s.idx = make([]int, width)
 	out := n.Outputs()
 	s.dOut = make([]float64, rows*out)
 	s.outViews = make([][]float64, rows)
@@ -148,59 +59,17 @@ func (n *Network) ensureScratch(rows int) *batchScratch {
 	for b := 0; b < rows; b++ {
 		s.outViews[b] = last[b*out : (b+1)*out : (b+1)*out]
 	}
-	ensurePool()
-	if cap(s.calls) < poolSize {
-		s.calls = make([]kernelCall, poolSize)
-	}
-	s.rows = rows
+	*sp = s
 	return s
 }
 
-// runSharded fans call out across the worker pool in write-disjoint range
-// shards [0, total), or runs it inline when the pool is single-threaded or
-// the work is too small to pay the handoff. opsPerUnit approximates the
-// scalar ops per range unit.
-func (s *batchScratch) runSharded(call kernelCall, total, opsPerUnit int) {
-	shards := poolSize
-	if shards > total {
-		shards = total
-	}
-	if shards <= 1 || total*opsPerUnit < minParallelOps {
-		call.lo, call.hi = 0, total
-		runKernel(&call)
-		return
-	}
-	per := (total + shards - 1) / shards
-	submitted := 0
-	for lo := 0; lo < total; lo += per {
-		hi := lo + per
-		if hi > total {
-			hi = total
-		}
-		c := &s.calls[submitted]
-		*c = call
-		c.lo, c.hi = lo, hi
-		c.wg = &s.wg
-		submitted++
-		s.wg.Add(1)
-		workCh <- c
-	}
-	s.wg.Wait()
-}
-
-// forwardBatched runs the forward pass over the first rows rows of the
-// packed arena input, filling each layer's z/a planes.
-func (n *Network) forwardBatched(s *batchScratch, rows int) {
-	x := s.x0
+// forward runs the forward pass over the first rows rows of the packed
+// input x, filling each layer's z/a planes of s.
+func (n *Network) forward(s *batchScratch, x []float64, rows int) {
 	for li, l := range n.layers {
-		z, a := s.z[li], s.a[li]
-		s.runSharded(kernelCall{
-			op: opForward, w: l.w, bias: l.b, x: x, z: z,
-			in: l.in, out: l.out,
-		}, rows, l.in*l.out)
-		for b := 0; b < rows; b++ {
-			l.act.Apply(z[b*l.out:(b+1)*l.out], a[b*l.out:(b+1)*l.out])
-		}
+		z, a := s.z[li][:rows*l.out], s.a[li][:rows*l.out]
+		forwardRows(l.w, l.b, x, z, s.idx, l.in, l.out, rows)
+		l.act.Apply(z, a)
 		x = a
 	}
 }
@@ -208,7 +77,9 @@ func (n *Network) forwardBatched(s *batchScratch, rows int) {
 // ForwardBatch runs one forward pass over a whole batch of input rows and
 // returns one output row per input. Like Forward, the returned rows are
 // views into network-owned scratch, overwritten by the next batched call;
-// copy them to keep them. The receiver is not safe for concurrent use.
+// copy them to keep them. TrainForwarded can train on the batch from the
+// activations this pass leaves behind. The receiver is not safe for
+// concurrent use.
 func (n *Network) ForwardBatch(X [][]float64) ([][]float64, error) {
 	if len(X) == 0 {
 		return nil, fmt.Errorf("nn: empty input batch")
@@ -219,20 +90,29 @@ func (n *Network) ForwardBatch(X [][]float64) ([][]float64, error) {
 		}
 	}
 	rows := len(X)
-	s := n.ensureScratch(rows)
+	s := n.arena(&n.scratch, rows)
 	for b, x := range X {
 		copy(s.x0[b*n.inputs:(b+1)*n.inputs], x)
 	}
-	n.forwardBatched(s, rows)
+	n.forward(s, s.x0, rows)
+	s.fwd = rows
 	return s.outViews[:rows], nil
 }
 
-// trainBatched is the batched engine behind TrainBatch: one packed forward
-// pass, per-row loss/gradient, and a layer-by-layer batched backward pass
-// through the scratch arena. Gradient accumulation order matches the
-// per-sample path element for element, so the two are bit-identical.
-func (n *Network) trainBatched(batch []Sample, loss Loss, opt Optimizer) (float64, error) {
-	rows := len(batch)
+// TrainBatch runs one mini-batch gradient step: a batched forward pass over
+// the whole mini-batch, gradients accumulated per layer through the
+// network's scratch arena, averaged, one optimizer step per parameter
+// vector. It returns the mean loss over the batch (before the update).
+//
+// The batched engine sums every gradient element in the same order the
+// per-sample path would (see matmul.go), so results are bit-identical to
+// sample-at-a-time training. On a non-finite batch loss the optimizer step
+// is skipped — gradients are poisoned too — and a typed *DivergenceError
+// surfaces so the caller can recover; the weights stay finite.
+func (n *Network) TrainBatch(batch []Sample, loss Loss, opt Optimizer) (float64, error) {
+	if len(batch) == 0 {
+		return 0, errors.New("nn: empty batch")
+	}
 	out := n.Outputs()
 	for _, sm := range batch {
 		if len(sm.X) != n.inputs || len(sm.Y) != out {
@@ -240,50 +120,75 @@ func (n *Network) trainBatched(batch []Sample, loss Loss, opt Optimizer) (float6
 				len(sm.X), len(sm.Y), n.inputs, out)
 		}
 	}
-	s := n.ensureScratch(rows)
+	rows := len(batch)
+	s := n.arena(&n.scratch, rows)
 	for b, sm := range batch {
 		copy(s.x0[b*n.inputs:(b+1)*n.inputs], sm.X)
 	}
-	for _, l := range n.layers {
-		l.zeroGrads()
-	}
-
-	n.forwardBatched(s, rows)
-
-	L := len(n.layers)
+	n.forward(s, s.x0, rows)
 	var total float64
-	last := s.a[L-1]
 	for b, sm := range batch {
-		pred := last[b*out : (b+1)*out]
-		total += loss.Loss(pred, sm.Y)
-		loss.Grad(pred, sm.Y, s.dOut[b*out:(b+1)*out])
+		total += s.lossGrad(b, out, sm.Y, loss)
 	}
+	return n.backwardStep(s, rows, total, opt)
+}
 
+// TrainForwarded is TrainBatch for the batch the last ForwardBatch call
+// evaluated, with Y[b] the target row of input row b. It trains from the
+// activations that pass left in the arena instead of running it again, so
+// a caller that needs the predictions to build its targets (the masked DQN
+// regression) pays for one forward pass, not two; the result is
+// bit-identical to TrainBatch over the same rows. It fails when the arena
+// no longer holds a pass of len(Y) rows: a training step or CopyWeightsFrom
+// since makes it stale, and a later ForwardBatch replaces it.
+func (n *Network) TrainForwarded(Y [][]float64, loss Loss, opt Optimizer) (float64, error) {
+	s := n.scratch
+	if s == nil || s.fwd == 0 || s.fwd != len(Y) {
+		return 0, fmt.Errorf("nn: no forward pass of %d rows to train from", len(Y))
+	}
+	out := n.Outputs()
+	var total float64
+	for b, y := range Y {
+		if len(y) != out {
+			return 0, fmt.Errorf("nn: target row %d width %d, want %d", b, len(y), out)
+		}
+		total += s.lossGrad(b, out, y, loss)
+	}
+	return n.backwardStep(s, len(Y), total, opt)
+}
+
+// lossGrad writes the loss gradient of output row b against target y into
+// dOut and returns the row's loss.
+func (s *batchScratch) lossGrad(b, out int, y []float64, loss Loss) float64 {
+	pred := s.outViews[b]
+	loss.Grad(pred, y, s.dOut[b*out:(b+1)*out])
+	return loss.Loss(pred, y)
+}
+
+// backwardStep is the half of a training step after the forward pass and the
+// loss gradients: the layer-by-layer batched backward pass through the
+// arena and, unless the mean loss total/rows is non-finite, one optimizer
+// step per parameter vector. Gradient accumulation order matches the
+// per-sample path element for element, so the two are bit-identical.
+func (n *Network) backwardStep(s *batchScratch, rows int, total float64, opt Optimizer) (float64, error) {
+	s.fwd = 0
 	dA := s.dOut
-	for li := L - 1; li >= 0; li-- {
+	for li := len(n.layers) - 1; li >= 0; li-- {
 		l := n.layers[li]
-		z, a, dz := s.z[li], s.a[li], s.dz[li]
-		for b := 0; b < rows; b++ {
-			zr, ar, dzr := z[b*l.out:(b+1)*l.out], a[b*l.out:(b+1)*l.out], dz[b*l.out:(b+1)*l.out]
-			l.act.Derivative(zr, ar, dzr)
-			dar := dA[b*l.out : (b+1)*l.out]
-			for o := range dzr {
-				dzr[o] *= dar[o]
-			}
+		m := rows * l.out
+		dz := s.dz[li][:m]
+		l.act.Derivative(s.z[li][:m], s.a[li][:m], dz)
+		for i := range dz {
+			dz[i] *= dA[i]
 		}
 		x := s.x0
 		if li > 0 {
 			x = s.a[li-1]
 		}
-		s.runSharded(kernelCall{
-			op: opParamGrad, x: x, dz: dz, gw: l.gw, gb: l.gb,
-			in: l.in, out: l.out, rows: rows,
-		}, l.out, rows*l.in)
+		l.zeroGrads()
+		paramGradRows(x, dz, l.gw, l.gb, s.idx, l.in, l.out, rows)
 		if li > 0 {
-			s.runSharded(kernelCall{
-				op: opInputGrad, w: l.w, dz: dz, dx: s.dx[li],
-				in: l.in, out: l.out,
-			}, rows, l.in*l.out)
+			inputGradRows(l.w, dz, s.dx[li], s.idx, l.in, l.out, rows)
 			dA = s.dx[li]
 		}
 	}

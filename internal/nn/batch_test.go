@@ -6,35 +6,6 @@ import (
 	"testing"
 )
 
-// trainPerSampleReference is the original sample-at-a-time TrainBatch,
-// preserved verbatim as the golden reference the batched engine must match.
-func trainPerSampleReference(n *Network, batch []Sample, loss Loss, opt Optimizer) (float64, error) {
-	for _, l := range n.layers {
-		l.zeroGrads()
-	}
-	var total float64
-	dOut := make([]float64, n.Outputs())
-	for _, s := range batch {
-		pred := n.Forward(s.X)
-		total += loss.Loss(pred, s.Y)
-		loss.Grad(pred, s.Y, dOut)
-		d := dOut
-		for i := len(n.layers) - 1; i >= 0; i-- {
-			d = n.layers[i].backward(d)
-		}
-	}
-	scale := 1 / float64(len(batch))
-	if mean := total * scale; isNonFinite(mean) {
-		return mean, &DivergenceError{Loss: mean}
-	}
-	for _, l := range n.layers {
-		l.scaleGrads(scale)
-		opt.Step(l.wKey, l.w, l.gw)
-		opt.Step(l.bKey, l.b, l.gb)
-	}
-	return total * scale, nil
-}
-
 func randomBatch(rng *rand.Rand, n, in, out int) []Sample {
 	batch := make([]Sample, n)
 	for i := range batch {
@@ -51,93 +22,234 @@ func randomBatch(rng *rand.Rand, n, in, out int) []Sample {
 	return batch
 }
 
+// firstDiff returns the first index where a and b differ in any bit, or -1.
+// Stricter than ==: it tells -0 from +0.
+func firstDiff(a, b []float64) int {
+	for i := range a {
+		if math.Float64bits(a[i]) != math.Float64bits(b[i]) {
+			return i
+		}
+	}
+	return -1
+}
+
+// sparseBatch draws n input rows shaped like the DQN's one-hot features:
+// each value is 0, -0 or 1 with most of them zero, and row 0 is all zero.
+func sparseBatch(rng *rand.Rand, n, in, out int) []Sample {
+	batch := randomBatch(rng, n, in, out)
+	for b, sm := range batch {
+		for j := range sm.X {
+			switch r := rng.Intn(8); {
+			case b == 0 || r < 5:
+				sm.X[j] = 0
+			case r == 5:
+				sm.X[j] = math.Copysign(0, -1)
+			default:
+				sm.X[j] = 1
+			}
+		}
+	}
+	return batch
+}
+
+// killUnits sets a third of every hidden ReLU layer's biases to -4, so
+// those units are dead for the test inputs and their deltas exact zeros.
+func killUnits(n *Network) {
+	for _, l := range n.layers {
+		if l.act != ReLU {
+			continue
+		}
+		for o := 0; o < l.out; o += 3 {
+			l.b[o] = -4
+		}
+	}
+}
+
 // TestBatchedTrainingParityGolden trains two identically seeded networks —
-// one with the per-sample reference, one with the batched TrainBatch — for
-// many steps and demands the weights and outputs stay within 1e-9 (they are
-// in fact bit-identical: the batched kernels preserve summation order).
+// one with the naive per-sample reference, one with the batched engine —
+// for many steps and demands the losses, weights and outputs stay
+// bit-identical: the kernels keep every element's summation order and skip
+// only exact-zero terms. The sparse cases feed what the deep-Q learn step
+// does: one-hot rows with ±0 entries, an all-zero row, dead ReLU units,
+// and masked targets that equal the prediction except at one output, so
+// all other output deltas are exact zeros. The masked case trains like
+// DQN.Update, from the activations its own ForwardBatch left behind.
 func TestBatchedTrainingParityGolden(t *testing.T) {
 	cfg := Config{Inputs: 7, Layers: []LayerSpec{
 		{Units: 16, Act: ReLU},
 		{Units: 9, Act: Tanh},
 		{Units: 4, Act: Linear},
 	}}
+	dqnCfg := Config{Inputs: 12, Layers: []LayerSpec{
+		{Units: 16, Act: ReLU},
+		{Units: 13, Act: ReLU},
+		{Units: 6, Act: Linear},
+	}}
 	for _, tc := range []struct {
-		name string
-		loss Loss
-		opt  func() Optimizer
+		name   string
+		cfg    Config
+		loss   Loss
+		opt    func() Optimizer
+		sparse bool // one-hot inputs, an all-zero row, dead units
+		masked bool // DQN-style masked targets through TrainForwarded
 	}{
-		{"mse+sgd", MSE, func() Optimizer { return &SGD{LR: 0.05} }},
-		{"huber+adam", Huber, func() Optimizer { return NewAdam(0.01) }},
+		{"mse+sgd", cfg, MSE, func() Optimizer { return &SGD{LR: 0.05} }, false, false},
+		{"huber+adam", cfg, Huber, func() Optimizer { return NewAdam(0.01) }, false, false},
+		{"sparse+mse+momentum", dqnCfg, MSE, func() Optimizer { return &Momentum{LR: 0.02, Mu: 0.9} }, true, false},
+		{"sparse+masked+huber+adam", dqnCfg, Huber, func() Optimizer { return NewAdam(0.01) }, true, true},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			ref := MustNew(cfg, rand.New(rand.NewSource(42)))
-			bat := MustNew(cfg, rand.New(rand.NewSource(42)))
+			ref := MustNew(tc.cfg, rand.New(rand.NewSource(42)))
+			bat := MustNew(tc.cfg, rand.New(rand.NewSource(42)))
+			if tc.sparse {
+				killUnits(ref)
+				killUnits(bat)
+			}
 			optRef, optBat := tc.opt(), tc.opt()
+			in, out := tc.cfg.Inputs, tc.cfg.Layers[len(tc.cfg.Layers)-1].Units
 
 			dataRng := rand.New(rand.NewSource(99))
 			for step := 0; step < 25; step++ {
-				batch := randomBatch(dataRng, 1+step%13, 7, 4)
-				lRef, errRef := trainPerSampleReference(ref, batch, tc.loss, optRef)
-				lBat, errBat := bat.TrainBatch(batch, tc.loss, optBat)
+				rows := 1 + step%13
+				var batch []Sample
+				if tc.sparse {
+					batch = sparseBatch(dataRng, rows, in, out)
+				} else {
+					batch = randomBatch(dataRng, rows, in, out)
+				}
+				var lRef, lBat float64
+				var errRef, errBat error
+				if tc.masked {
+					// Each side's targets are its own predictions with one
+					// output moved; the final weight check catches any
+					// difference between the two predictions.
+					r := newRef(ref)
+					X, Y := make([][]float64, rows), make([][]float64, rows)
+					masks := make([]int, rows)
+					for b := range batch {
+						X[b] = batch[b].X
+						masks[b] = dataRng.Intn(out)
+						batch[b].Y = append([]float64(nil), r.forward(X[b])...)
+						batch[b].Y[masks[b]] = dataRng.NormFloat64()
+					}
+					preds, err := bat.ForwardBatch(X)
+					if err != nil {
+						t.Fatal(err)
+					}
+					for b := range preds {
+						Y[b] = append([]float64(nil), preds[b]...)
+						Y[b][masks[b]] = batch[b].Y[masks[b]]
+					}
+					lRef, errRef = trainPerSampleReference(ref, batch, tc.loss, optRef)
+					lBat, errBat = bat.TrainForwarded(Y, tc.loss, optBat)
+				} else {
+					lRef, errRef = trainPerSampleReference(ref, batch, tc.loss, optRef)
+					lBat, errBat = bat.TrainBatch(batch, tc.loss, optBat)
+				}
 				if errRef != nil || errBat != nil {
 					t.Fatalf("step %d: unexpected errors %v / %v", step, errRef, errBat)
 				}
-				if math.Abs(lRef-lBat) > 1e-9 {
-					t.Fatalf("step %d: loss diverged: per-sample %.15g batched %.15g", step, lRef, lBat)
+				if firstDiff([]float64{lRef}, []float64{lBat}) >= 0 {
+					t.Fatalf("step %d: loss diverged: per-sample %.17g batched %.17g", step, lRef, lBat)
 				}
 			}
 			for li := range ref.layers {
-				for wi := range ref.layers[li].w {
-					if d := math.Abs(ref.layers[li].w[wi] - bat.layers[li].w[wi]); d > 1e-9 {
-						t.Fatalf("layer %d w[%d]: per-sample %.15g batched %.15g (|Δ|=%g)",
-							li, wi, ref.layers[li].w[wi], bat.layers[li].w[wi], d)
-					}
+				if i := firstDiff(ref.layers[li].w, bat.layers[li].w); i >= 0 {
+					t.Fatalf("layer %d w[%d]: per-sample %.17g batched %.17g",
+						li, i, ref.layers[li].w[i], bat.layers[li].w[i])
 				}
-				for bi := range ref.layers[li].b {
-					if d := math.Abs(ref.layers[li].b[bi] - bat.layers[li].b[bi]); d > 1e-9 {
-						t.Fatalf("layer %d b[%d] diverged by %g", li, bi, d)
-					}
+				if i := firstDiff(ref.layers[li].b, bat.layers[li].b); i >= 0 {
+					t.Fatalf("layer %d b[%d]: per-sample %.17g batched %.17g",
+						li, i, ref.layers[li].b[i], bat.layers[li].b[i])
 				}
 			}
-			x := []float64{0.1, -0.2, 0.3, 0.4, -0.5, 0.6, 0.7}
-			pr, pb := ref.Predict(x), bat.Predict(x)
-			for i := range pr {
-				if math.Abs(pr[i]-pb[i]) > 1e-9 {
-					t.Fatalf("prediction[%d] diverged: %.15g vs %.15g", i, pr[i], pb[i])
+			x := sparseBatch(dataRng, 2, in, out)[1].X
+			if i := firstDiff(newRef(ref).forward(x), bat.Forward(x)); i >= 0 {
+				t.Fatalf("prediction[%d] diverged", i)
+			}
+		})
+	}
+}
+
+// TestForwardBatchMatchesForward checks each batched output row equals both
+// the single-row Forward and the naive reference bit for bit, on dense
+// rows, one-hot rows with ±0 entries, an all-zero row, and ReLU layers with
+// dead units.
+func TestForwardBatchMatchesForward(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	for _, tc := range []struct {
+		name   string
+		layers []LayerSpec
+		sparse bool
+	}{
+		{"dense+sigmoid", []LayerSpec{{Units: 11, Act: Sigmoid}, {Units: 3, Act: Linear}}, false},
+		{"sparse+relu", []LayerSpec{{Units: 11, Act: ReLU}, {Units: 9, Act: ReLU}, {Units: 3, Act: Linear}}, true},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			n := MustNew(Config{Inputs: 5, Layers: tc.layers}, rng)
+			killUnits(n)
+			batch := randomBatch(rng, 17, 5, 3)
+			if tc.sparse {
+				batch = sparseBatch(rng, 17, 5, 3)
+			}
+			X := make([][]float64, len(batch))
+			for i, sm := range batch {
+				X[i] = sm.X
+			}
+			got, err := n.ForwardBatch(X)
+			if err != nil {
+				t.Fatal(err)
+			}
+			// Forward and the reference use their own buffers, so the
+			// batched rows stay valid across them.
+			r := newRef(n)
+			for i, x := range X {
+				if j := firstDiff(got[i], n.Forward(x)); j >= 0 {
+					t.Fatalf("row %d output %d: batched %.17g, Forward %.17g", i, j, got[i][j], n.Forward(x)[j])
+				}
+				if j := firstDiff(got[i], r.forward(x)); j >= 0 {
+					t.Fatalf("row %d output %d: batched %.17g, reference %.17g", i, j, got[i][j], r.forward(x)[j])
 				}
 			}
 		})
 	}
 }
 
-// TestForwardBatchMatchesForward checks each batched output row equals the
-// per-sample forward pass exactly.
-func TestForwardBatchMatchesForward(t *testing.T) {
-	rng := rand.New(rand.NewSource(3))
-	n := MustNew(Config{Inputs: 5, Layers: []LayerSpec{
-		{Units: 11, Act: Sigmoid},
-		{Units: 3, Act: Linear},
-	}}, rng)
-	X := make([][]float64, 17)
-	for i := range X {
-		X[i] = make([]float64, 5)
-		for j := range X[i] {
-			X[i][j] = rng.NormFloat64()
-		}
+// TestTrainForwardedNeedsItsForwardPass: TrainForwarded trains only from a
+// forward pass of the same row count that no training step or weight copy
+// has made stale.
+func TestTrainForwardedNeedsItsForwardPass(t *testing.T) {
+	rng := rand.New(rand.NewSource(4))
+	n := MustNew(Config{Inputs: 3, Layers: []LayerSpec{{Units: 2, Act: Linear}}}, rng)
+	opt := &SGD{LR: 0.1}
+	Y := [][]float64{{0, 1}, {1, 0}}
+	if _, err := n.TrainForwarded(Y, MSE, opt); err == nil {
+		t.Error("TrainForwarded before any ForwardBatch must error")
 	}
-	got, err := n.ForwardBatch(X)
-	if err != nil {
+	X := [][]float64{{1, 0, 2}, {0, 3, 0}}
+	if _, err := n.ForwardBatch(X); err != nil {
 		t.Fatal(err)
 	}
-	// Copy before the per-sample passes reuse the arena? They don't — but
-	// Forward uses separate per-layer buffers, so compare directly.
-	for i, x := range X {
-		want := n.Predict(x)
-		for j := range want {
-			if got[i][j] != want[j] {
-				t.Fatalf("row %d output %d: batched %.17g per-sample %.17g", i, j, got[i][j], want[j])
-			}
-		}
+	if _, err := n.TrainForwarded(Y[:1], MSE, opt); err == nil {
+		t.Error("a row count other than the forward pass's must error")
+	}
+	if _, err := n.TrainForwarded([][]float64{{0}, {1}}, MSE, opt); err == nil {
+		t.Error("a short target row must error")
+	}
+	if _, err := n.TrainForwarded(Y, MSE, opt); err != nil {
+		t.Fatalf("TrainForwarded after ForwardBatch: %v", err)
+	}
+	if _, err := n.TrainForwarded(Y, MSE, opt); err == nil {
+		t.Error("a second step on the same forward pass must error: the weights moved")
+	}
+	if _, err := n.ForwardBatch(X); err != nil {
+		t.Fatal(err)
+	}
+	if err := n.CopyWeightsFrom(n.Clone()); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := n.TrainForwarded(Y, MSE, opt); err == nil {
+		t.Error("TrainForwarded after CopyWeightsFrom must error")
 	}
 }
 
@@ -202,49 +314,6 @@ func TestForwardBatchZeroAllocSteadyState(t *testing.T) {
 	})
 	if allocs != 0 {
 		t.Errorf("ForwardBatch steady state allocates %.1f objects per call, want 0", allocs)
-	}
-}
-
-// TestShardedKernelsMatchInline forces the worker pool on (4 workers, zero
-// sharding threshold) and verifies batched training still matches the
-// per-sample reference bit for bit — the shard decomposition must not
-// change any summation order.
-func TestShardedKernelsMatchInline(t *testing.T) {
-	resetPoolForTest(4)
-	oldMin := minParallelOps
-	minParallelOps = 0
-	defer func() {
-		minParallelOps = oldMin
-		resetPoolForTest(1)
-	}()
-
-	cfg := Config{Inputs: 10, Layers: []LayerSpec{
-		{Units: 32, Act: ReLU},
-		{Units: 16, Act: Tanh},
-		{Units: 5, Act: Linear},
-	}}
-	ref := MustNew(cfg, rand.New(rand.NewSource(11)))
-	bat := MustNew(cfg, rand.New(rand.NewSource(11)))
-	optRef, optBat := NewAdam(0.005), NewAdam(0.005)
-	dataRng := rand.New(rand.NewSource(17))
-	for step := 0; step < 10; step++ {
-		batch := randomBatch(dataRng, 48, 10, 5)
-		lRef, err1 := trainPerSampleReference(ref, batch, MSE, optRef)
-		lBat, err2 := bat.TrainBatch(batch, MSE, optBat)
-		if err1 != nil || err2 != nil {
-			t.Fatalf("step %d: %v / %v", step, err1, err2)
-		}
-		if lRef != lBat {
-			t.Fatalf("step %d: sharded loss %.17g != reference %.17g", step, lBat, lRef)
-		}
-	}
-	for li := range ref.layers {
-		for wi := range ref.layers[li].w {
-			if ref.layers[li].w[wi] != bat.layers[li].w[wi] {
-				t.Fatalf("layer %d w[%d]: sharded %.17g != reference %.17g",
-					li, wi, bat.layers[li].w[wi], ref.layers[li].w[wi])
-			}
-		}
 	}
 }
 

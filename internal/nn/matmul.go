@@ -1,6 +1,6 @@
 package nn
 
-// Order-preserving batched kernels.
+// Order-preserving batched kernels that skip exact-zero terms.
 //
 // Every kernel here sums in exactly the order the per-sample path does —
 // ascending input index k for forward dots, ascending output index o for
@@ -9,15 +9,46 @@ package nn
 // "close". Optimizations are restricted to traversal order of *independent*
 // elements (row/column blocking, multi-output unrolling that shares input
 // loads), never to reassociating a single element's sum.
+//
+// Each kernel first compacts the indices of the nonzero input values,
+// output deltas or batch-row deltas of the current row or column into an
+// arena buffer, then runs its 4-wide blocks over those indices only, still
+// in ascending order. Most terms of the deep-Q learn step are zero: the
+// one-hot features, dead ReLU units, and a masked target whose gradient is
+// nonzero only at the executed mini-actions. Skipping a term w·0 is exact,
+// because the term is ±0 and adding ±0 leaves an accumulator unchanged
+// unless the accumulator is -0. No accumulator is ever -0: each starts at
+// +0 or at a bias, which newDense never lets be -0 and an optimizer step
+// cannot turn into -0 (x - y is -0 only when x is), and a sum of values
+// that are not both -0 is never -0. The term is ±0 only when its other
+// factor is finite: weights are (initialization and Load give finite
+// values, and a step whose loss is non-finite is skipped), and inputs and
+// activations are unless a caller passes non-finite inputs or a forward
+// pass overflows.
 
-// forwardRows computes z[b] = W·x[b] + bias for batch rows b in [lo, hi).
-// x is rows×in flat, z is rows×out flat, w is out×in row-major. Outputs are
-// computed four at a time so each load of x[b][k] feeds four dot products;
-// each dot still runs k ascending.
-func forwardRows(w, bias, x, z []float64, in, out, lo, hi int) {
-	for b := lo; b < hi; b++ {
+// nonzero writes the indices of v's nonzero entries into buf, in
+// ascending order, and returns them. NaN counts as nonzero.
+func nonzero(buf []int, v []float64) []int {
+	n := 0
+	for i, x := range v {
+		if x != 0 {
+			buf[n] = i
+			n++
+		}
+	}
+	return buf[:n]
+}
+
+// forwardRows computes z[b] = W·x[b] + bias for batch rows b in [0, rows).
+// x is rows×in flat, z is rows×out flat, w is out×in row-major, and idx
+// holds at least in ints. Outputs are computed four at a time so each load
+// of x[b][k] feeds four dot products; each dot runs k ascending over the
+// nonzero inputs.
+func forwardRows(w, bias, x, z []float64, idx []int, in, out, rows int) {
+	for b := 0; b < rows; b++ {
 		xrow := x[b*in : (b+1)*in]
 		zrow := z[b*out : (b+1)*out]
+		ks := nonzero(idx, xrow)
 		o := 0
 		for ; o+3 < out; o += 4 {
 			r0 := w[(o+0)*in : (o+1)*in]
@@ -25,7 +56,8 @@ func forwardRows(w, bias, x, z []float64, in, out, lo, hi int) {
 			r2 := w[(o+2)*in : (o+3)*in]
 			r3 := w[(o+3)*in : (o+4)*in]
 			s0, s1, s2, s3 := bias[o], bias[o+1], bias[o+2], bias[o+3]
-			for k, xv := range xrow {
+			for _, k := range ks {
+				xv := xrow[k]
 				s0 += r0[k] * xv
 				s1 += r1[k] * xv
 				s2 += r2[k] * xv
@@ -36,34 +68,35 @@ func forwardRows(w, bias, x, z []float64, in, out, lo, hi int) {
 		for ; o < out; o++ {
 			row := w[o*in : (o+1)*in]
 			sum := bias[o]
-			for k, xv := range xrow {
-				sum += row[k] * xv
+			for _, k := range ks {
+				sum += row[k] * xrow[k]
 			}
 			zrow[o] = sum
 		}
 	}
 }
 
-// inputGradRows computes dx[b] = Wᵀ·dz[b] for batch rows b in [lo, hi):
-// dx[b][i] = Σ_o w[o][i]·dz[b][o], o ascending, exactly as the per-sample
-// backward accumulates it.
-func inputGradRows(w, dz, dx []float64, in, out, lo, hi int) {
-	for b := lo; b < hi; b++ {
+// inputGradRows computes dx[b] = Wᵀ·dz[b] for batch rows b in [0, rows):
+// dx[b][i] = Σ_o w[o][i]·dz[b][o], o ascending over the nonzero deltas,
+// exactly as the per-sample backward accumulates it. idx holds at least
+// out ints.
+func inputGradRows(w, dz, dx []float64, idx []int, in, out, rows int) {
+	for b := 0; b < rows; b++ {
 		dzrow := dz[b*out : (b+1)*out]
 		dxrow := dx[b*in : (b+1)*in]
-		for i := range dxrow {
-			dxrow[i] = 0
-		}
+		clear(dxrow)
+		os := nonzero(idx, dzrow)
 		// Four outputs per pass: dxrow is loaded/stored once for four
 		// o-terms, each element still accumulated o ascending through one
 		// sequential chain.
-		o := 0
-		for ; o+3 < out; o += 4 {
-			d0, d1, d2, d3 := dzrow[o], dzrow[o+1], dzrow[o+2], dzrow[o+3]
-			r0 := w[(o+0)*in : (o+1)*in]
-			r1 := w[(o+1)*in : (o+2)*in]
-			r2 := w[(o+2)*in : (o+3)*in]
-			r3 := w[(o+3)*in : (o+4)*in]
+		j := 0
+		for ; j+3 < len(os); j += 4 {
+			o0, o1, o2, o3 := os[j], os[j+1], os[j+2], os[j+3]
+			d0, d1, d2, d3 := dzrow[o0], dzrow[o1], dzrow[o2], dzrow[o3]
+			r0 := w[o0*in : (o0+1)*in]
+			r1 := w[o1*in : (o1+1)*in]
+			r2 := w[o2*in : (o2+1)*in]
+			r3 := w[o3*in : (o3+1)*in]
 			for i := range dxrow {
 				v := dxrow[i]
 				v += r0[i] * d0
@@ -73,7 +106,8 @@ func inputGradRows(w, dz, dx []float64, in, out, lo, hi int) {
 				dxrow[i] = v
 			}
 		}
-		for ; o < out; o++ {
+		for ; j < len(os); j++ {
+			o := os[j]
 			d := dzrow[o]
 			row := w[o*in : (o+1)*in]
 			for i, wv := range row {
@@ -84,27 +118,32 @@ func inputGradRows(w, dz, dx []float64, in, out, lo, hi int) {
 }
 
 // paramGradRows accumulates gw[o] += Σ_b dz[b][o]·x[b] and
-// gb[o] += Σ_b dz[b][o] for output rows o in [lo, hi), b ascending over all
-// rows rows — the same per-element order as per-sample accumulation.
-// Sharding over o keeps shards write-disjoint, so the result is independent
-// of how many workers run.
-func paramGradRows(x, dz, gw, gb []float64, in, out, rows, lo, hi int) {
-	for o := lo; o < hi; o++ {
+// gb[o] += Σ_b dz[b][o] for every output row o, b ascending over the batch
+// rows whose delta is nonzero — the same per-element order as per-sample
+// accumulation. idx holds at least rows ints.
+func paramGradRows(x, dz, gw, gb []float64, idx []int, in, out, rows int) {
+	for o := 0; o < out; o++ {
+		n := 0
+		for b := 0; b < rows; b++ {
+			if dz[b*out+o] != 0 {
+				idx[n] = b
+				n++
+			}
+		}
+		bs := idx[:n]
 		grow := gw[o*in : (o+1)*in]
 		gbo := gb[o]
 		// Four batch rows per pass: grow is loaded/stored once for four
 		// b-terms, each element still accumulated b ascending through one
 		// sequential chain.
-		b := 0
-		for ; b+3 < rows; b += 4 {
-			d0 := dz[(b+0)*out+o]
-			d1 := dz[(b+1)*out+o]
-			d2 := dz[(b+2)*out+o]
-			d3 := dz[(b+3)*out+o]
-			x0 := x[(b+0)*in : (b+1)*in]
-			x1 := x[(b+1)*in : (b+2)*in]
-			x2 := x[(b+2)*in : (b+3)*in]
-			x3 := x[(b+3)*in : (b+4)*in]
+		j := 0
+		for ; j+3 < len(bs); j += 4 {
+			b0, b1, b2, b3 := bs[j], bs[j+1], bs[j+2], bs[j+3]
+			d0, d1, d2, d3 := dz[b0*out+o], dz[b1*out+o], dz[b2*out+o], dz[b3*out+o]
+			x0 := x[b0*in : (b0+1)*in]
+			x1 := x[b1*in : (b1+1)*in]
+			x2 := x[b2*in : (b2+1)*in]
+			x3 := x[b3*in : (b3+1)*in]
 			for i := range grow {
 				g := grow[i]
 				g += d0 * x0[i]
@@ -118,7 +157,8 @@ func paramGradRows(x, dz, gw, gb []float64, in, out, rows, lo, hi int) {
 			gbo += d2
 			gbo += d3
 		}
-		for ; b < rows; b++ {
+		for ; j < len(bs); j++ {
+			b := bs[j]
 			d := dz[b*out+o]
 			xrow := x[b*in : (b+1)*in]
 			for i, xv := range xrow {

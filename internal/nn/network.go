@@ -43,78 +43,28 @@ type dense struct {
 	w, b    []float64
 	act     Activation
 
-	// forward caches (single-sample; training accumulates over a batch)
-	x, z, a []float64
 	// gradient accumulators
 	gw, gb []float64
-	// scratch
-	dz []float64
 
 	// wKey/bKey are the optimizer state keys for this layer's parameters,
 	// precomputed so the training hot path never formats strings.
 	wKey, bKey string
 }
 
-// setKeys assigns the layer's optimizer state keys from its index. Every
-// construction path (New, Clone, Load) must call it.
-func (l *dense) setKeys(i int) {
+// newDense builds layer i over weights w (out×in) and biases b, which it
+// keeps. Every construction path (New, Clone, Load) goes through it.
+func newDense(i, in, out int, act Activation, w, b []float64) *dense {
+	for o := range b {
+		// A -0 bias (only a hand-written model file can hold one) becomes
+		// +0, so no kernel accumulator ever starts at -0 (see matmul.go).
+		b[o] += 0
+	}
 	key := strconv.Itoa(i)
-	l.wKey, l.bKey = key+".w", key+".b"
-}
-
-func newDense(in, out int, act Activation, rng *rand.Rand) *dense {
-	l := &dense{
-		in: in, out: out, act: act,
-		w:  make([]float64, in*out),
-		b:  make([]float64, out),
-		x:  make([]float64, in),
-		z:  make([]float64, out),
-		a:  make([]float64, out),
-		gw: make([]float64, in*out),
-		gb: make([]float64, out),
-		dz: make([]float64, out),
+	return &dense{
+		in: in, out: out, act: act, w: w, b: b,
+		gw: make([]float64, in*out), gb: make([]float64, out),
+		wKey: key + ".w", bKey: key + ".b",
 	}
-	// Xavier/Glorot uniform initialization.
-	limit := math.Sqrt(6 / float64(in+out))
-	for i := range l.w {
-		l.w[i] = (rng.Float64()*2 - 1) * limit
-	}
-	return l
-}
-
-func (l *dense) forward(x []float64) []float64 {
-	copy(l.x, x)
-	for o := 0; o < l.out; o++ {
-		sum := l.b[o]
-		row := l.w[o*l.in : (o+1)*l.in]
-		for i, xi := range x {
-			sum += row[i] * xi
-		}
-		l.z[o] = sum
-	}
-	l.act.Apply(l.z, l.a)
-	return l.a
-}
-
-// backward consumes dL/da and accumulates weight gradients; it returns
-// dL/dx for the previous layer.
-func (l *dense) backward(dA []float64) []float64 {
-	l.act.Derivative(l.z, l.a, l.dz)
-	for o := range l.dz {
-		l.dz[o] *= dA[o]
-	}
-	dx := make([]float64, l.in)
-	for o := 0; o < l.out; o++ {
-		d := l.dz[o]
-		row := l.w[o*l.in : (o+1)*l.in]
-		grow := l.gw[o*l.in : (o+1)*l.in]
-		for i := 0; i < l.in; i++ {
-			grow[i] += d * l.x[i]
-			dx[i] += row[i] * d
-		}
-		l.gb[o] += d
-	}
-	return dx
 }
 
 func (l *dense) zeroGrads() {
@@ -143,8 +93,9 @@ type Network struct {
 	layers []*dense
 
 	// scratch is the lazily grown batch arena for ForwardBatch/TrainBatch
-	// (see batch.go). Never copied by Clone.
-	scratch *batchScratch
+	// and single the one-row arena of Forward (see batch.go). Neither is
+	// copied by Clone.
+	scratch, single *batchScratch
 }
 
 // New builds a network from cfg with Xavier-initialized weights drawn from
@@ -169,9 +120,13 @@ func New(cfg Config, rng *rand.Rand) (*Network, error) {
 		if act == nil {
 			act = Sigmoid
 		}
-		l := newDense(in, spec.Units, act, rng)
-		l.setKeys(i)
-		n.layers = append(n.layers, l)
+		// Xavier/Glorot uniform initialization.
+		w := make([]float64, in*spec.Units)
+		limit := math.Sqrt(6 / float64(in+spec.Units))
+		for j := range w {
+			w[j] = (rng.Float64()*2 - 1) * limit
+		}
+		n.layers = append(n.layers, newDense(i, in, spec.Units, act, w, make([]float64, spec.Units)))
 		in = spec.Units
 	}
 	return n, nil
@@ -192,15 +147,15 @@ func (n *Network) Inputs() int { return n.inputs }
 // Outputs returns the output width.
 func (n *Network) Outputs() int { return n.layers[len(n.layers)-1].out }
 
-// Forward runs one forward pass and returns the output activations. The
+// Forward runs one forward pass over x, which must hold Inputs() values,
+// and returns the output activations. It runs the batched kernels on one
+// row, so its outputs equal the matching ForwardBatch row bit for bit. The
 // returned slice is owned by the network and overwritten by the next call;
 // copy it if you need to keep it.
 func (n *Network) Forward(x []float64) []float64 {
-	a := x
-	for _, l := range n.layers {
-		a = l.forward(a)
-	}
-	return a
+	s := n.arena(&n.single, 1)
+	n.forward(s, x, 1)
+	return s.outViews[0]
 }
 
 // Predict is Forward returning a fresh copy of the outputs.
@@ -240,23 +195,6 @@ func IsDivergence(err error) bool {
 // predicate shared by the training paths.
 func isNonFinite(v float64) bool {
 	return math.IsNaN(v) || math.IsInf(v, 0)
-}
-
-// TrainBatch runs one mini-batch gradient step: a batched forward pass over
-// the whole mini-batch, gradients accumulated per layer through the
-// network's scratch arena, averaged, one optimizer step per parameter
-// vector. It returns the mean loss over the batch (before the update).
-//
-// The batched engine sums every gradient element in the same order the
-// per-sample path would (see matmul.go), so results are bit-identical to
-// sample-at-a-time training. On a non-finite batch loss the optimizer step
-// is skipped — gradients are poisoned too — and a typed *DivergenceError
-// surfaces so the caller can recover; the weights stay finite.
-func (n *Network) TrainBatch(batch []Sample, loss Loss, opt Optimizer) (float64, error) {
-	if len(batch) == 0 {
-		return 0, errors.New("nn: empty batch")
-	}
-	return n.trainBatched(batch, loss, opt)
 }
 
 // Fit trains for epochs passes over data in mini-batches of size batchSize,
@@ -308,19 +246,8 @@ func (n *Network) Fit(data []Sample, epochs, batchSize int, loss Loss, opt Optim
 func (n *Network) Clone() *Network {
 	out := &Network{inputs: n.inputs}
 	for i, l := range n.layers {
-		nl := &dense{
-			in: l.in, out: l.out, act: l.act,
-			w:  append([]float64(nil), l.w...),
-			b:  append([]float64(nil), l.b...),
-			x:  make([]float64, l.in),
-			z:  make([]float64, l.out),
-			a:  make([]float64, l.out),
-			gw: make([]float64, len(l.gw)),
-			gb: make([]float64, len(l.gb)),
-			dz: make([]float64, l.out),
-		}
-		nl.setKeys(i)
-		out.layers = append(out.layers, nl)
+		w, b := append([]float64(nil), l.w...), append([]float64(nil), l.b...)
+		out.layers = append(out.layers, newDense(i, l.in, l.out, l.act, w, b))
 	}
 	return out
 }
@@ -338,6 +265,9 @@ func (n *Network) CopyWeightsFrom(src *Network) error {
 		}
 		copy(l.w, sl.w)
 		copy(l.b, sl.b)
+	}
+	if n.scratch != nil {
+		n.scratch.fwd = 0 // the arena's activations are stale now
 	}
 	return nil
 }

@@ -95,13 +95,11 @@ func TestGradientCheck(t *testing.T) {
 			for _, l := range n.layers {
 				l.zeroGrads()
 			}
-			pred := n.Forward(x)
+			r := newRef(n)
+			pred := r.forward(x)
 			dOut := make([]float64, len(pred))
 			c.loss.Grad(pred, y, dOut)
-			d := dOut
-			for i := len(n.layers) - 1; i >= 0; i-- {
-				d = n.layers[i].backward(d)
-			}
+			r.backward(dOut)
 
 			// numeric check on a sample of weights from each layer
 			const eps = 1e-6

@@ -60,19 +60,7 @@ func Load(r io.Reader) (*Network, error) {
 		if err != nil {
 			return nil, err
 		}
-		l := &dense{
-			in: lj.In, out: lj.Out, act: act,
-			w:  append([]float64(nil), lj.W...),
-			b:  append([]float64(nil), lj.B...),
-			x:  make([]float64, lj.In),
-			z:  make([]float64, lj.Out),
-			a:  make([]float64, lj.Out),
-			gw: make([]float64, lj.In*lj.Out),
-			gb: make([]float64, lj.Out),
-			dz: make([]float64, lj.Out),
-		}
-		l.setKeys(i)
-		n.layers = append(n.layers, l)
+		n.layers = append(n.layers, newDense(i, lj.In, lj.Out, act, lj.W, lj.B))
 		in = lj.Out
 	}
 	return n, nil

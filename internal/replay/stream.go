@@ -145,7 +145,7 @@ func (st *Stream) Decide(audit Audit, sp *trace.Span, minute int) (Recommendatio
 	if st.next == nil {
 		st.next = make(env.State, e.K())
 	}
-	if e.TransitionInto(st.next, st.State, d.Action) == nil {
+	if e.TransitionOK(st.next, st.State, d.Action) {
 		r.Next = st.next
 		if !audit(e.StateKey(st.State), e.StateKey(r.Next), d.Action) {
 			r.Verdict = "unsafe"

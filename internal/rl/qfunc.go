@@ -210,14 +210,14 @@ type DQN struct {
 	updates int
 
 	// Batched scratch, grown on demand by ensureBatch and reused for the
-	// DQN's lifetime: xback/yback are flat rows×dim / rows×minis planes,
-	// xrows are row views into xback, samples pair the row views so Update
-	// performs zero steady-state allocations.
-	xback   []float64
-	yback   []float64
-	xrows   [][]float64
-	samples []nn.Sample
-	xone    []float64 // single-pair encode scratch for Q/QTarget
+	// DQN's lifetime: xback/yback are flat rows×dim / rows×minis planes and
+	// xrows/yrows row views into them, so Update performs zero
+	// steady-state allocations.
+	xback []float64
+	yback []float64
+	xrows [][]float64
+	yrows [][]float64
+	xone  []float64 // single-pair encode scratch for Q/QTarget
 }
 
 var _ QFunc = (*DQN)(nil)
@@ -255,8 +255,8 @@ func NewDQN(e *env.Environment, n int, cfg DQNConfig, rng *rand.Rand) (*DQN, err
 	}, nil
 }
 
-// encodeOne encodes a single pair into a reused scratch row (Forward copies
-// the input, so the scratch may be handed straight to either network).
+// encodeOne encodes a single pair into a reused scratch row, which either
+// network's Forward reads.
 func (d *DQN) encodeOne(s env.State, t int) []float64 {
 	if d.xone == nil {
 		d.xone = make([]float64, d.feat.Dim())
@@ -278,22 +278,18 @@ func (d *DQN) QTarget(s env.State, t int) []float64 {
 // their three-index caps so a downstream append can never bleed into the
 // next row.
 func (d *DQN) ensureBatch(n int) {
-	if n <= cap(d.samples) {
-		d.samples = d.samples[:n]
-		d.xrows = d.xrows[:n]
+	if n <= cap(d.xrows) {
+		d.xrows, d.yrows = d.xrows[:n], d.yrows[:n]
 		return
 	}
 	dim, out := d.feat.Dim(), d.minis.Total()
 	d.xback = make([]float64, n*dim)
 	d.yback = make([]float64, n*out)
 	d.xrows = make([][]float64, n)
-	d.samples = make([]nn.Sample, n)
+	d.yrows = make([][]float64, n)
 	for i := 0; i < n; i++ {
 		d.xrows[i] = d.xback[i*dim : (i+1)*dim : (i+1)*dim]
-		d.samples[i] = nn.Sample{
-			X: d.xrows[i],
-			Y: d.yback[i*out : (i+1)*out : (i+1)*out],
-		}
+		d.yrows[i] = d.yback[i*out : (i+1)*out : (i+1)*out]
 	}
 }
 
@@ -328,14 +324,16 @@ func (d *DQN) QTargetBatch(states []env.State, ts []int) ([][]float64, error) {
 // Update implements QFunc: for each experience, the target vector equals
 // the current prediction except at the executed mini-action indices, which
 // move to the supplied target — the standard masked DQN regression. The
-// predictions come from one batched forward pass and the regression runs
-// through the batched training engine, so a warm Update allocates nothing
-// and its results are bit-identical to the per-sample formulation.
+// predictions come from one batched forward pass, and the regression
+// trains from that same pass (nn.TrainForwarded), so a warm Update runs
+// the forward pass once, allocates nothing, and its results are
+// bit-identical to the per-sample formulation.
 //
 // The latency observation is deliberately outside the measured body: when
-// telemetry is disabled the wrapper reduces to one atomic load, which is
-// how TestDQNUpdateInstrumentationOverhead pins the instrumented-vs-bare
-// delta to ≤ 3% ns/op and 0 allocs/op.
+// telemetry is disabled the wrapper reduces to one atomic load.
+// TestDQNUpdateInstrumentationOverhead pins the instrumented path to 0
+// allocs/op; BenchmarkDQNUpdateTelemetry pairs the two for the ≤ 3% ns/op
+// budget.
 func (d *DQN) Update(batch []Experience, targets []float64) (float64, error) {
 	if !mUpdateLatencyDQN.Enabled() {
 		return d.update(batch, targets)
@@ -361,14 +359,13 @@ func (d *DQN) update(batch []Experience, targets []float64) (float64, error) {
 	if err != nil {
 		return 0, fmt.Errorf("rl: dqn update: %w", err)
 	}
-	for i := range batch {
-		y := d.samples[i].Y
+	for i, y := range d.yrows {
 		copy(y, preds[i])
 		for _, mi := range batch[i].Minis {
 			y[mi] = targets[i]
 		}
 	}
-	loss, err := d.net.TrainBatch(d.samples, nn.Huber, d.opt)
+	loss, err := d.net.TrainForwarded(d.yrows, nn.Huber, d.opt)
 	if err != nil {
 		return 0, fmt.Errorf("rl: dqn update: %w", err)
 	}

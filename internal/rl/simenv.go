@@ -130,7 +130,7 @@ func (s *SimEnv) Reward() *reward.Smart { return s.cfg.Reward }
 // by P_safe. An unconstrained environment permits everything the FSM
 // allows.
 func (s *SimEnv) Safe(st env.State, a env.Action) bool {
-	if err := s.e.TransitionInto(s.safeScratch, st, a); err != nil {
+	if !s.e.TransitionOK(s.safeScratch, st, a) {
 		return false
 	}
 	if s.cfg.Safe == nil {

@@ -63,11 +63,12 @@ func minAllocsPerRun(trials, runs int, f func()) float64 {
 
 // TestDQNUpdateTraceOverhead is the tracing half of the zero-perturbation
 // contract: with tracing disabled (nil spans end-to-end), the span-threaded
-// learning path adds zero allocations over the plain LearnStep path (whose
-// own successor-audit allocations predate tracing and are measured as the
-// baseline). The bare DQN.Update itself stays at 0 allocs/op, re-asserted
-// here with the trace layer compiled in. The time half, within 3% ns/op of
-// the plain path, is BenchmarkLearnStepTracing's pair.
+// learning path adds zero allocations over the plain LearnStep path, and
+// the plain path itself — sampling, targets, the successors' P_safe
+// probes, the update — allocates nothing. The bare DQN.Update stays at 0
+// allocs/op, re-asserted here with the trace layer compiled in. The time
+// half, within 3% ns/op of the plain path, is BenchmarkLearnStepTracing's
+// pair.
 func TestDQNUpdateTraceOverhead(t *testing.T) {
 	// Two bit-identical agents, each driven by an identically seeded RNG:
 	// the only difference between the two measurement loops is the call
@@ -107,6 +108,9 @@ func TestDQNUpdateTraceOverhead(t *testing.T) {
 	if tracedAllocs > plainAllocs && !raceEnabled {
 		t.Errorf("nil-span LearnStepTraced allocates %.1f objects per call vs %.1f plain: tracing must add 0",
 			tracedAllocs, plainAllocs)
+	}
+	if plainAllocs != 0 && !raceEnabled {
+		t.Errorf("LearnStep allocates %.1f objects per call, want 0", plainAllocs)
 	}
 	d, batch, targets := overheadBatch(t)
 	if n := minAllocsPerRun(5, 50, func() {
