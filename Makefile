@@ -122,9 +122,10 @@ stats:
 	$$tmp/jarvisctl -debug-addr $(STATS_DEBUG_ADDR) stats
 
 # Fleet-view smoke probe: boot a primary (with a WAL to ship and an
-# on-disk metric history) plus a hot standby streaming it, then render one
-# `jarvisctl top` poll over both debug listeners and require the table to
-# carry both roles and the follower's replication state.
+# on-disk metric history) plus a hot standby streaming it (its history in
+# memory), then render one `jarvisctl top` poll over both debug listeners
+# and require the table to carry both roles, the follower's replication
+# state, and a metric history on both rows.
 TOP_ADDR ?= 127.0.0.1:7983
 TOP_DEBUG_ADDR ?= 127.0.0.1:7984
 TOP_FOLLOW_ADDR ?= 127.0.0.1:7985
@@ -149,7 +150,8 @@ top:
 	$$tmp/jarvisctl -debug-addr $(TOP_DEBUG_ADDR),$(TOP_FOLLOW_DEBUG_ADDR) -once -format json top > $$tmp/top.json; \
 	grep -q '"role": "primary"' $$tmp/top.json; \
 	grep -q '"role": "follower"' $$tmp/top.json; \
-	grep -q '"replicaConnected": true' $$tmp/top.json
+	grep -q '"replicaConnected": true' $$tmp/top.json; \
+	test "$$(grep -c '"tsdbPoints"' $$tmp/top.json)" -eq 2
 
 # Metric-name lint: every name registered on the telemetry registry must
 # match ^[a-z][a-z0-9._]*$ — the same contract telemetry.ValidMetricName

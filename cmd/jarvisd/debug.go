@@ -40,10 +40,10 @@ import (
 //	                     duration); /debug/traces/chrome re-exports them
 //	                     as Chrome trace_event JSON for chrome://tracing
 //	                     and Perfetto
-//	/debug/tsdb          range queries over the on-disk metric history
+//	/debug/tsdb          range queries over the metric history
 //	                     (?series=&fn=rate|delta|p50|p95|p99|raw with
-//	                     from/to or window; no params = index; needs
-//	                     -tsdb)
+//	                     from/to or window; no params = index; 404 when
+//	                     alerting is off)
 //	/debug/vars   expvar, including the same telemetry snapshot
 //	/debug/pprof  the standard Go profiler endpoints
 
@@ -220,11 +220,11 @@ type healthStatus struct {
 	AlertsFiring []health.Alert       `json:"alertsFiring,omitempty"`
 	SLOBurn      map[string]float64   `json:"sloBurn,omitempty"`
 	Shadow       *health.ShadowReport `json:"shadow,omitempty"`
-	// TSDB is the on-disk metric history's footprint (absent without
-	// -tsdb). TelemetrySeries counts every series the registry currently
-	// exports, including labeled vec children; TelemetryLabelsDropped
-	// counts writes lost to vec cardinality caps — nonzero means a label
-	// blowup is being contained.
+	// TSDB is the metric history's footprint (absent when alerting is
+	// off; 0 segments and bytes without -tsdb). TelemetrySeries counts
+	// every series the registry currently exports, including labeled vec
+	// children; TelemetryLabelsDropped counts writes lost to vec
+	// cardinality caps — nonzero means a label blowup is being contained.
 	TSDB                   *tsdb.Stats `json:"tsdb,omitempty"`
 	TelemetrySeries        int         `json:"telemetrySeries"`
 	TelemetryLabelsDropped int64       `json:"telemetryLabelsDropped,omitempty"`

@@ -18,8 +18,9 @@ import (
 // The policy-health layer (DESIGN.md §14) runs on two cadences, both off
 // the request path:
 //
-//   - the health ticker (HealthInterval) snapshots telemetry, feeds the
-//     SLO tracker, and evaluates the alert rules;
+//   - the health tick (TSInterval) snapshots telemetry, appends the
+//     snapshot to the metric history, re-scores the SLO tracker over that
+//     history, and evaluates the alert rules;
 //   - the shadow evaluator runs every ShadowEvery online learn steps:
 //     the learn path captures the live Q under the state lock (cheap
 //     serialization), then a goroutine replays the WAL window through
@@ -92,8 +93,9 @@ func defaultObjectives() []health.Objective {
 }
 
 // initHealth wires the health subsystem onto the server: alert engine,
-// SLO tracker, shadow evaluator, and the evaluation ticker. Called at
-// the end of newServer, after every startup mutation has landed.
+// metric history, SLO tracker, shadow evaluator, and the health tick.
+// Called at the end of newServer, after every startup mutation has
+// landed.
 func (s *server) initHealth() error {
 	registerBuildMetrics()
 	// The trace ring size is registry-backed so jarvisctl stats can show it
@@ -134,16 +136,14 @@ func (s *server) initHealth() error {
 			Budget: 256,
 		})
 	}
-	tr, err := health.NewTracker(s.cfg.SLOWindow, objectives, telemetry.Default)
+	s.ts = s.openHistory()
+	tr, err := health.NewTracker(s.ts, s.cfg.SLOWindow, objectives, telemetry.Default)
 	if err != nil {
 		eng.Close()
+		s.ts.Close()
 		return err
 	}
 	s.slo = tr
-
-	// The metric history opens after the tracker so it can immediately
-	// become the tracker's window source (tsdb.go).
-	s.initTSDB()
 
 	// Shadow evaluation needs both a journal to replay and a checkpoint
 	// generation to fork from; without either it stays off and the drift
@@ -161,39 +161,42 @@ func (s *server) initHealth() error {
 		})
 	}
 
+	// The baseline point carries everything boot counted (restored
+	// counters, the replayed WAL), so the first SLO window starts when
+	// serving starts and boot replay never reads as burn.
+	s.appendPoint()
 	s.wg.Add(1)
 	go s.healthLoop()
 	return nil
 }
 
-// healthLoop is the evaluation ticker: snapshot → SLO observe → rule
-// evaluation, every HealthInterval until shutdown. With a metric history
-// open it also appends one snapshot per TSInterval — the history the SLO
-// tracker reads its window edges from.
+// healthLoop is the health tick: every TSInterval until shutdown it takes
+// one snapshot, appends it to the metric history, re-scores the SLO
+// tracker over that history, and evaluates the alert rules.
 func (s *server) healthLoop() {
 	defer s.wg.Done()
-	t := time.NewTicker(s.cfg.HealthInterval)
+	t := time.NewTicker(s.cfg.TSInterval)
 	defer t.Stop()
-	var tsC <-chan time.Time
-	if s.ts != nil {
-		ts := time.NewTicker(s.cfg.TSInterval)
-		defer ts.Stop()
-		tsC = ts.C
-	}
 	for {
 		select {
 		case <-s.stop:
 			return
-		case <-tsC:
-			if err := s.ts.Append(tsdb.FromSnapshot(telemetry.Default.Snapshot())); err != nil {
-				s.cfg.Logf("jarvisd: tsdb append: %v", err)
-			}
 		case <-t.C:
-			snap := telemetry.Default.Snapshot()
-			s.slo.Observe(snap)
+			snap := s.appendPoint()
+			s.slo.Publish()
 			s.health.Evaluate(snap)
 		}
 	}
+}
+
+// appendPoint snapshots the registry into the metric history and returns
+// the snapshot.
+func (s *server) appendPoint() telemetry.Snapshot {
+	snap := telemetry.Default.Snapshot()
+	if err := s.ts.Append(tsdb.FromSnapshot(snap)); err != nil {
+		s.cfg.Logf("jarvisd: tsdb append: %v", err)
+	}
+	return snap
 }
 
 // onAlertFiring runs on each alert's firing edge (outside the engine

@@ -118,8 +118,8 @@ func TestAlertSmokeHairTrigger(t *testing.T) {
 	const rule = "any-state-traffic"
 	srv := startDebugTestServer(t, serverConfig{
 		Seed: 1, LearningDays: 2, Episodes: 2,
-		HealthInterval: 20 * time.Millisecond,
-		AlertLogPath:   logPath,
+		TSInterval:   20 * time.Millisecond,
+		AlertLogPath: logPath,
 		AlertRules: []health.Rule{{
 			Name:   rule,
 			Metric: `jarvisd.requests{op="state"}`,
@@ -173,7 +173,15 @@ func TestAlertSmokeHairTrigger(t *testing.T) {
 	}
 
 	// /debug/slo serves the tracker's report on the same cadence.
-	code, body = httpGet(t, srv, "/debug/slo")
+	if rep := getSLO(t, srv); len(rep.Objectives) == 0 || rep.Samples == 0 {
+		t.Errorf("/debug/slo report is empty: %+v", rep)
+	}
+}
+
+// getSLO fetches and decodes /debug/slo.
+func getSLO(t *testing.T, srv *server) health.Report {
+	t.Helper()
+	code, body := httpGet(t, srv, "/debug/slo")
 	if code != http.StatusOK {
 		t.Fatalf("/debug/slo status = %d: %s", code, body)
 	}
@@ -181,9 +189,65 @@ func TestAlertSmokeHairTrigger(t *testing.T) {
 	if err := json.Unmarshal(body, &rep); err != nil {
 		t.Fatalf("/debug/slo is not valid JSON: %v", err)
 	}
-	if len(rep.Objectives) == 0 || rep.Samples == 0 {
-		t.Errorf("/debug/slo report is empty: %+v", rep)
+	return rep
+}
+
+// sloStatus finds one objective in an SLO report.
+func sloStatus(t *testing.T, rep health.Report, name string) health.ObjectiveStatus {
+	t.Helper()
+	for _, st := range rep.Objectives {
+		if st.Name == name {
+			return st
+		}
 	}
+	t.Fatalf("objective %q missing from the SLO report", name)
+	return health.ObjectiveStatus{}
+}
+
+// TestBootReplayIsNotBurn: a daemon restarted on a WAL full of unsafe
+// events must not charge the replayed events to its safety-violations
+// budget. Boot appends a baseline point after the replay, so the first
+// window starts when serving starts; only live unsafe events burn.
+func TestBootReplayIsNotBurn(t *testing.T) {
+	cfg := durableConfig(t.TempDir())
+	victim, err := newServer(cfg)
+	if err != nil {
+		t.Fatalf("victim: %v", err)
+	}
+	feedEvents(t, victim, 48) // three of every four scripted events are unsafe
+	// Crash: no Close, no final checkpoint, no WAL reset.
+
+	cfg.TSInterval = 20 * time.Millisecond
+	srv := startDebugTestServer(t, cfg)
+	// Poll without pausing: every report, from boot until a tick has
+	// scored, must read zero bad events.
+	deadline := time.Now().Add(10 * time.Second)
+	for {
+		rep := getSLO(t, srv)
+		if st := sloStatus(t, rep, "safety-violations"); st.Bad != 0 {
+			t.Fatalf("boot replay read as burn: safety-violations %+v over %d sample(s)", st, rep.Samples)
+		}
+		if rep.Samples >= 2 {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("no tick scored within 10s: %+v", rep)
+		}
+	}
+
+	before := learnState(t, srv).Violations
+	feedEvents(t, srv, 8)
+	n := int64(learnState(t, srv).Violations - before)
+	if n == 0 {
+		t.Fatal("no live event was unsafe; the check would be trivial")
+	}
+	waitUntil(t, 10*time.Second, "live unsafe events to burn", func() bool {
+		bad := sloStatus(t, getSLO(t, srv), "safety-violations").Bad
+		if bad > n {
+			t.Fatalf("safety-violations Bad %d after %d live unsafe events", bad, n)
+		}
+		return bad == n
+	})
 }
 
 // TestReplicationLagAlertSmoke: on a daemon started with -follow, the
@@ -236,10 +300,10 @@ func TestReplicationLagAlertSmoke(t *testing.T) {
 	const rule = "replication-lag"
 	srv := startDebugTestServer(t, serverConfig{
 		Seed: 1, LearningDays: 2, Episodes: 2,
-		HealthInterval: 20 * time.Millisecond,
-		AlertLogPath:   logPath,
-		FollowAddr:     ln.Addr().String(),
-		PromoteAfter:   -1, // heartbeats flow, but never promote under the test
+		TSInterval:   20 * time.Millisecond,
+		AlertLogPath: logPath,
+		FollowAddr:   ln.Addr().String(),
+		PromoteAfter: -1, // heartbeats flow, but never promote under the test
 	})
 
 	// The default rule set carries replication-lag; it must fire once the
@@ -284,7 +348,7 @@ func TestAlertsDisabled(t *testing.T) {
 	srv := startDebugTestServer(t, serverConfig{
 		Seed: 1, LearningDays: 2, Episodes: 2, AlertingOff: true,
 	})
-	for _, path := range []string{"/debug/alerts", "/debug/slo"} {
+	for _, path := range []string{"/debug/alerts", "/debug/slo", "/debug/tsdb"} {
 		if code, _ := httpGet(t, srv, path); code != http.StatusNotFound {
 			t.Errorf("%s status = %d with alerting off, want 404", path, code)
 		}
@@ -297,7 +361,7 @@ func TestAlertsDisabled(t *testing.T) {
 	if err := json.Unmarshal(body, &h); err != nil {
 		t.Fatalf("/healthz is not valid JSON: %v", err)
 	}
-	if h.AlertsFiring != nil || h.SLOBurn != nil || h.Shadow != nil {
+	if h.AlertsFiring != nil || h.SLOBurn != nil || h.Shadow != nil || h.TSDB != nil {
 		t.Errorf("/healthz carries health-subsystem fields with alerting off: %+v", h)
 	}
 }
@@ -311,7 +375,7 @@ func TestDriftAlertRollsBackAndResolves(t *testing.T) {
 	dir := t.TempDir()
 	cfg := durableConfig(dir)
 	cfg.ShadowEvery = 2 // one evaluation per 8 scripted events
-	cfg.HealthInterval = 25 * time.Millisecond
+	cfg.TSInterval = 25 * time.Millisecond
 	// The corruption below must be observable through RecommendDecision
 	// while it is being constructed; a compiled table would keep serving
 	// the stale pre-poison decisions until invalidated.

@@ -92,8 +92,8 @@ func run(args []string) error {
 	alertRules := fs.String("alert-rules", "", "alert rules file (JSON; empty = built-in defaults, \"none\" = disable alerting)")
 	alertLog := fs.String("alert-log", "", "append one JSON line per alert firing/resolved transition to this file (empty = disabled)")
 	sloWindow := fs.Duration("slo-window", 10*time.Minute, "rolling window for SLO error-budget burn rates")
-	tsdbDir := fs.String("tsdb", "", "on-disk metric history directory: append one telemetry snapshot per -ts-interval, serve range queries on /debug/tsdb (empty = disabled)")
-	tsInterval := fs.Duration("ts-interval", 0, "metric history append cadence (0 = the health-evaluation interval)")
+	tsdbDir := fs.String("tsdb", "", "persist the metric history to DIR (empty = memory only)")
+	tsInterval := fs.Duration("ts-interval", 5*time.Second, "health tick: append one telemetry snapshot to the metric history, re-score the SLOs and evaluate the alert rules")
 	shadowEvery := fs.Int("shadow-every", 32, "run one shadow policy evaluation per N online learn steps (<= 0 = disabled; needs -wal and -checkpoint)")
 	profileDir := fs.String("profile-dir", "", "capture cpu.pprof (first -profile-cpu-window) and a shutdown heap.pprof into this directory (empty = disabled)")
 	profileCPUWindow := fs.Duration("profile-cpu-window", 30*time.Second, "how long the automated CPU profile records")

@@ -151,18 +151,18 @@ type serverConfig struct {
 	// (default 32; <= 0 disables). Shadow evaluation also needs -wal and
 	// -checkpoint: it replays the journal against the newest generation.
 	ShadowEvery int
-	// HealthInterval is the alert/SLO evaluation cadence (default 5s).
-	HealthInterval time.Duration
 
-	// TSDBDir, when non-empty, opens an on-disk metric history in this
-	// directory: one delta-encoded telemetry snapshot per TSInterval,
-	// WAL-style segment rotation and retention, served back by
-	// /debug/tsdb. With a store open the SLO tracker reads its window
-	// edges from it instead of an in-memory ring, so burn rates and
-	// /debug/tsdb range queries agree by construction. Requires the
-	// health subsystem (no-op under AlertingOff).
+	// TSDBDir, when non-empty, persists the metric history in this
+	// directory (delta-encoded segments with WAL-style rotation and
+	// retention); empty keeps it in memory only. Either way the store
+	// mirrors one SLOWindow in memory, the SLO tracker scores its window
+	// from it, and /debug/tsdb serves range queries over it, so burn
+	// rates and range queries agree by construction. Unused under
+	// AlertingOff.
 	TSDBDir string
-	// TSInterval is the history append cadence (default HealthInterval).
+	// TSInterval is the health tick (default 5s): each tick appends one
+	// telemetry snapshot to the metric history, re-scores the SLOs, and
+	// evaluates the alert rules.
 	TSInterval time.Duration
 
 	// Logf receives operational messages; nil discards them.
@@ -191,11 +191,8 @@ func (c serverConfig) withDefaults() serverConfig {
 	if c.ShadowEvery == 0 {
 		c.ShadowEvery = 32
 	}
-	if c.HealthInterval <= 0 {
-		c.HealthInterval = 5 * time.Second
-	}
 	if c.TSInterval <= 0 {
-		c.TSInterval = c.HealthInterval
+		c.TSInterval = 5 * time.Second
 	}
 	if c.PromoteAfter == 0 {
 		c.PromoteAfter = 5 * time.Second
@@ -307,7 +304,7 @@ type server struct {
 	decisions *replay.DecisionLog
 
 	// health/slo/shadow are the policy-health subsystem (health.go): the
-	// alert engine and SLO tracker run on the health ticker; the shadow
+	// alert engine and SLO tracker run on the health tick; the shadow
 	// evaluator runs on the learn-step cadence. All nil when
 	// cfg.AlertingOff (shadow additionally needs WAL + checkpoint).
 	health *health.Engine
@@ -319,10 +316,10 @@ type server struct {
 	// is a slice index plus an atomic add.
 	mUnsafeByDevice []*telemetry.Counter
 
-	// ts is the daemon's on-disk metric history (nil when cfg.TSDBDir is
-	// empty): the health ticker appends one snapshot per TSInterval, the
-	// SLO tracker reads its window edges from it, and /debug/tsdb serves
-	// range queries over it.
+	// ts is the daemon's metric history, on disk under cfg.TSDBDir or in
+	// memory (nil only when cfg.AlertingOff): the health tick appends one
+	// snapshot per TSInterval, the SLO tracker scores its window from it,
+	// and /debug/tsdb serves range queries over it.
 	ts *tsdb.DB
 
 	// tracer samples request traces (disabled, never nil, when
@@ -568,7 +565,7 @@ func (s *server) Close() error {
 	s.connMu.Unlock()
 	s.wg.Wait()
 	if s.health != nil {
-		// The health ticker and any in-flight shadow run are drained by
+		// The health tick and any in-flight shadow run are drained by
 		// wg.Wait above, so closing the alert log here races nothing.
 		if herr := s.health.Close(); herr != nil {
 			s.cfg.Logf("jarvisd: alert log close failed: %v", herr)
@@ -604,7 +601,7 @@ func (s *server) Close() error {
 		}
 	}
 	if s.ts != nil {
-		// The append ticker is drained by wg.Wait above; Close syncs the
+		// The health tick is drained by wg.Wait above; Close syncs the
 		// active segment so the final interval survives a restart.
 		if terr := s.ts.Close(); terr != nil {
 			s.cfg.Logf("jarvisd: tsdb close failed: %v", terr)

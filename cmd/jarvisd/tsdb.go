@@ -7,57 +7,37 @@ import (
 	"strconv"
 	"time"
 
-	"jarvis/internal/telemetry"
 	"jarvis/internal/tsdb"
 )
 
-// The daemon's metric history (internal/tsdb) hangs off the health
-// ticker: every TSInterval the loop appends one registry snapshot to the
-// on-disk store, and the SLO tracker reads its window edges back out of
-// it through this adapter. /debug/tsdb serves range queries over the
-// same store, so an operator recomputing a burn rate with
-// ?series=...&fn=delta gets the number /debug/slo published — both sides
-// resolve the identical (EdgeBefore, Latest) pair.
+// The daemon's metric history (internal/tsdb) hangs off the health tick:
+// every TSInterval the loop appends one registry snapshot to the store,
+// and the SLO tracker scores its window from it. /debug/tsdb serves range
+// queries over the same store, so a ?series=...&fn=delta query over the
+// tracker's span (to = the newest point, window = -slo-window) reproduces
+// the number /debug/slo published — both sides resolve the identical
+// (EdgeBefore, Latest) pair.
 
-// tsdbSource adapts the metric history to health.WindowSource.
-type tsdbSource struct{ db *tsdb.DB }
-
-func (t tsdbSource) Latest() (telemetry.Snapshot, bool) {
-	p, ok := t.db.Latest()
-	return pointSnapshot(p), ok
-}
-
-func (t tsdbSource) EdgeBefore(cutoffNs int64) (telemetry.Snapshot, bool) {
-	p, ok := t.db.EdgeBefore(cutoffNs)
-	return pointSnapshot(p), ok
-}
-
-func pointSnapshot(p tsdb.Point) telemetry.Snapshot {
-	return telemetry.Snapshot{
-		UnixNs:     p.TsNs,
-		Counters:   p.Counters,
-		Gauges:     p.Gauges,
-		Histograms: p.Histograms,
+// openHistory opens the metric history: on disk under -tsdb, else in
+// memory. The mirror keeps one SLO window either way. A directory that
+// cannot open falls back to memory rather than refusing to start —
+// metric history is derived data.
+func (s *server) openHistory() *tsdb.DB {
+	opts := tsdb.Options{Window: s.cfg.SLOWindow}
+	reason := "no -tsdb directory"
+	if s.cfg.TSDBDir != "" {
+		db, err := tsdb.Open(s.cfg.TSDBDir, opts)
+		if err == nil {
+			if rs := db.Recovery(); rs.TruncatedBytes > 0 {
+				s.cfg.Logf("jarvisd: tsdb recovery truncated %d torn bytes", rs.TruncatedBytes)
+			}
+			return db
+		}
+		reason = fmt.Sprintf("tsdb unavailable (%v)", err)
 	}
-}
-
-// initTSDB opens the metric history when configured. A store that cannot
-// open degrades to the tracker's in-memory ring rather than refusing to
-// start — metric history is derived data.
-func (s *server) initTSDB() {
-	if s.cfg.TSDBDir == "" {
-		return
-	}
-	db, err := tsdb.Open(s.cfg.TSDBDir, tsdb.Options{})
-	if err != nil {
-		s.cfg.Logf("jarvisd: tsdb unavailable (%v); SLO window falls back to the in-memory ring", err)
-		return
-	}
-	if rs := db.Recovery(); rs.TruncatedBytes > 0 {
-		s.cfg.Logf("jarvisd: tsdb recovery truncated %d torn bytes", rs.TruncatedBytes)
-	}
-	s.ts = db
-	s.slo.SetSource(tsdbSource{db})
+	s.cfg.Logf("jarvisd: %s; metric history kept in memory", reason)
+	db, _ := tsdb.Open("", opts) // a memory-only store cannot fail to open
+	return db
 }
 
 // tsdbIndex is the parameterless /debug/tsdb body: store footprint plus
@@ -94,7 +74,7 @@ func (s *server) handleTSDB(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("Content-Type", "application/json")
 	if s.ts == nil {
 		w.WriteHeader(http.StatusNotFound)
-		json.NewEncoder(w).Encode(map[string]string{"error": "tsdb disabled (start with -tsdb DIR)"})
+		json.NewEncoder(w).Encode(map[string]string{"error": "alerting disabled"})
 		return
 	}
 	q := r.URL.Query()

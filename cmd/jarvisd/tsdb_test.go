@@ -8,22 +8,27 @@ import (
 	"time"
 )
 
-// TestTSDBEndpointAndSLOParity is the metric-history acceptance test: the
-// daemon appends snapshots to the on-disk store, /debug/tsdb serves range
-// queries over labeled series, and a burn rate recomputed from a
-// /debug/tsdb delta matches what the SLO tracker published — both read
-// the same window edges from the same store.
+// TestTSDBEndpointAndSLOParity is the metric-history acceptance test, in
+// memory and on disk: the daemon appends snapshots to its store,
+// /debug/tsdb serves range queries over labeled series, and a burn rate
+// recomputed from a /debug/tsdb delta matches what the SLO tracker
+// published — both read the same window edges from the same store.
 func TestTSDBEndpointAndSLOParity(t *testing.T) {
-	srv := startDebugTestServer(t, serverConfig{
-		Seed: 1, LearningDays: 2, Episodes: 2,
-		HealthInterval: 20 * time.Millisecond,
-		TSDBDir:        t.TempDir(),
-		TSInterval:     20 * time.Millisecond,
-	})
-	if srv.ts == nil {
-		t.Fatal("tsdb did not open")
+	for _, tc := range []struct {
+		name string
+		disk bool
+	}{{"memory", false}, {"disk", true}} {
+		t.Run(tc.name, func(t *testing.T) {
+			cfg := serverConfig{Seed: 1, LearningDays: 2, Episodes: 2, TSInterval: 20 * time.Millisecond}
+			if tc.disk {
+				cfg.TSDBDir = t.TempDir()
+			}
+			checkTSDBParity(t, startDebugTestServer(t, cfg), tc.disk)
+		})
 	}
+}
 
+func checkTSDBParity(t *testing.T, srv *server, disk bool) {
 	// A baseline point must land before the traffic so the windowed delta
 	// sees the increase. The registry is process-global, so the unsafe
 	// counter may already be nonzero from other tests — everything below
@@ -126,18 +131,13 @@ func TestTSDBEndpointAndSLOParity(t *testing.T) {
 	if !unsafeDelta.OK || unsafeDelta.Value < float64(unsafeEvents) {
 		t.Fatalf("delta(jarvisd.events.unsafe) = %+v, want >= %d", unsafeDelta, unsafeEvents)
 	}
-	var burn float64
-	foundObj := false
-	for _, st := range srv.slo.Report().Objectives {
-		if st.Name == "safety-violations" {
-			burn, foundObj = st.BurnRate, true
-		}
-	}
-	if !foundObj {
-		t.Fatal("safety-violations objective missing from the SLO report")
-	}
+	rep := srv.slo.Report()
+	burn := sloStatus(t, rep, "safety-violations").BurnRate
 	if want := unsafeDelta.Value / 5; math.Abs(burn-want) > 1e-9 {
 		t.Errorf("SLO burn = %v but tsdb recomputation = %v; the two windows disagree", burn, want)
+	}
+	if rep.Samples < 2 || rep.SpanMs <= 0 {
+		t.Errorf("SLO report spans %d samples over %dms, want >= 2 over a positive span", rep.Samples, rep.SpanMs)
 	}
 
 	// /healthz surfaces the store footprint and the registry cardinality.
@@ -146,20 +146,27 @@ func TestTSDBEndpointAndSLOParity(t *testing.T) {
 	if err := json.Unmarshal(body, &h); err != nil {
 		t.Fatalf("/healthz is not valid JSON: %v", err)
 	}
-	if h.TSDB == nil || h.TSDB.Points < 2 || h.TSDB.SizeBytes <= 0 {
-		t.Errorf("/healthz tsdb block = %+v, want a live footprint", h.TSDB)
+	if h.TSDB == nil || h.TSDB.Points < 2 || (h.TSDB.SizeBytes > 0) != disk {
+		t.Errorf("/healthz tsdb block = %+v, want a live footprint (on disk: %v)", h.TSDB, disk)
 	}
 	if h.TelemetrySeries <= 0 {
 		t.Errorf("/healthz telemetrySeries = %d, want > 0", h.TelemetrySeries)
 	}
 }
 
-// TestTSDBDisabledEndpoint: without -tsdb the endpoint 404s with a hint
-// instead of panicking.
+// TestTSDBDisabledEndpoint: with no store (alerting off) the endpoint 404s
+// with a hint instead of panicking.
 func TestTSDBDisabledEndpoint(t *testing.T) {
-	srv := startDebugTestServer(t, serverConfig{Seed: 1, LearningDays: 2, Episodes: 2})
+	srv := startDebugTestServer(t, serverConfig{Seed: 1, LearningDays: 2, Episodes: 2, AlertingOff: true})
+	if srv.ts != nil {
+		t.Fatal("a store opened with alerting off")
+	}
 	code, body := httpGet(t, srv, "/debug/tsdb")
 	if code != 404 {
 		t.Fatalf("/debug/tsdb without a store: status %d: %s", code, body)
+	}
+	var doc map[string]string
+	if err := json.Unmarshal(body, &doc); err != nil || doc["error"] == "" {
+		t.Errorf("/debug/tsdb without a store: body %q carries no error hint", body)
 	}
 }

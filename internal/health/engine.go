@@ -5,7 +5,6 @@ import (
 	"os"
 	"sort"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"jarvis/internal/telemetry"
@@ -72,11 +71,9 @@ type ruleState struct {
 // the alert lifecycle: fire after For consecutive breaches, dedup
 // repeated breaches into the existing alert, resolve after ClearFor
 // consecutive clean evaluations. Evaluate is driven by the daemon's
-// health ticker; readers (debug endpoints, healthz) use Active, History,
+// health tick; readers (debug endpoints, healthz) use Active, History,
 // and Stats concurrently.
 type Engine struct {
-	enabled atomic.Bool
-
 	mu      sync.Mutex
 	rules   []*ruleState
 	prev    *telemetry.Snapshot
@@ -133,15 +130,8 @@ func NewEngine(cfg EngineConfig) (*Engine, error) {
 		}
 		e.log = f
 	}
-	e.enabled.Store(true)
 	return e, nil
 }
-
-// SetEnabled turns evaluation on or off; alert state is frozen while off.
-func (e *Engine) SetEnabled(on bool) { e.enabled.Store(on) }
-
-// Enabled reports whether the engine evaluates snapshots.
-func (e *Engine) Enabled() bool { return e.enabled.Load() }
 
 func (e *Engine) logf(format string, args ...any) {
 	if e.cfg.Logf != nil {
@@ -197,11 +187,8 @@ func (rs *ruleState) read(cur, prev *telemetry.Snapshot) (v float64, ok bool) {
 }
 
 // Evaluate runs every rule against the snapshot and advances the alert
-// state machine. When the engine is disabled the call is one atomic load.
+// state machine.
 func (e *Engine) Evaluate(snap telemetry.Snapshot) {
-	if !e.enabled.Load() {
-		return
-	}
 	now := e.cfg.Now().UnixNano()
 
 	e.mu.Lock()
@@ -347,7 +334,6 @@ func (e *Engine) History(n int) []Transition {
 // EngineStats summarizes the engine for /debug/alerts.
 type EngineStats struct {
 	Rules       int   `json:"rules"`
-	Enabled     bool  `json:"enabled"`
 	Evaluations int64 `json:"evaluations"`
 	Fired       int64 `json:"fired"`
 	Resolved    int64 `json:"resolved"`
@@ -361,7 +347,6 @@ func (e *Engine) Stats() EngineStats {
 	defer e.mu.Unlock()
 	s := EngineStats{
 		Rules:       len(e.rules),
-		Enabled:     e.enabled.Load(),
 		Evaluations: e.evaluations,
 		Fired:       e.fired,
 		Resolved:    e.resolved,
@@ -388,7 +373,6 @@ func (e *Engine) Rules() []Rule {
 
 // Close flushes and closes the JSONL alert log. The engine stays readable.
 func (e *Engine) Close() error {
-	e.enabled.Store(false)
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	if e.log == nil {

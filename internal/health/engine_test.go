@@ -244,25 +244,6 @@ func TestAlertJSONLLog(t *testing.T) {
 	}
 }
 
-func TestDisabledEngineIsOneAtomicLoad(t *testing.T) {
-	rule := Rule{Name: "hot", Metric: "temp", Op: ">", Value: 100}
-	e, reg := newTestEngine(t, []Rule{rule}, "")
-	snap := gaugeSnap(reg, "temp", 500)
-
-	e.SetEnabled(false)
-	if n := testing.AllocsPerRun(100, func() { e.Evaluate(snap) }); n != 0 {
-		t.Fatalf("disabled Evaluate allocates %v/op, want 0", n)
-	}
-	if st := e.Stats(); st.Evaluations != 0 || len(e.Active()) != 0 {
-		t.Fatalf("disabled engine advanced state: %+v", st)
-	}
-	e.SetEnabled(true)
-	e.Evaluate(snap)
-	if len(e.Active()) != 1 {
-		t.Fatal("re-enabled engine did not evaluate")
-	}
-}
-
 func TestConcurrentSnapshotDuringEvaluation(t *testing.T) {
 	// Readers (healthz, /debug/alerts) race Evaluate in the daemon; under
 	// -race this test is the proof the engine's locking is sound.

@@ -1,10 +1,10 @@
 // Package health watches the policy, not just the process: a shadow
 // evaluator replays the recent WAL window against the live Q function to
-// quantify behavioral drift, an SLO tracker turns telemetry snapshots
-// into rolling-window error-budget burn rates, and a rule-based alert
-// engine raises and resolves alerts over any of it. The package consumes
-// only telemetry.Snapshot values and the replay verifier, so it runs
-// entirely off the daemon's request path.
+// quantify behavioral drift, an SLO tracker scores rolling-window
+// error-budget burn rates over the daemon's metric history (tsdb), and a
+// rule-based alert engine raises and resolves alerts over any of it. The
+// package consumes only telemetry snapshots, the metric history, and the
+// replay verifier, so it runs entirely off the daemon's request path.
 package health
 
 import (

@@ -2,10 +2,10 @@ package health
 
 import (
 	"fmt"
-	"sync"
 	"time"
 
 	"jarvis/internal/telemetry"
+	"jarvis/internal/tsdb"
 )
 
 // Objective is one service-level objective scored over the tracker's
@@ -20,7 +20,7 @@ import (
 //   - gauge: Gauge + Budget — the gauge's current level must stay at or
 //     under Budget. Unlike the windowed kinds, this scores an
 //     instantaneous level (e.g. replication lag in records), so burn is
-//     simply level/Budget at the newest sample.
+//     simply level/Budget at the newest point.
 type Objective struct {
 	Name string `json:"name"`
 	// Target is the good fraction for latency and ratio kinds, e.g. 0.99.
@@ -101,49 +101,33 @@ type ObjectiveStatus struct {
 // Report is the /debug/slo document.
 type Report struct {
 	WindowMs int64 `json:"windowMs"`
-	// SpanMs is how much of the window the retained samples actually cover.
-	SpanMs     int64             `json:"spanMs"`
+	// SpanMs is how much of the window the stored points actually cover.
+	SpanMs int64 `json:"spanMs"`
+	// Samples counts the stored points the window spans, both edges
+	// included.
 	Samples    int               `json:"samples"`
 	Objectives []ObjectiveStatus `json:"objectives"`
 }
 
-// sample is one retained snapshot.
-type sample struct {
-	at   time.Time
-	snap telemetry.Snapshot
-}
-
-// WindowSource supplies window-edge snapshots from a durable store (the
-// daemon's tsdb). EdgeBefore returns the newest stored snapshot at or
-// before the cutoff (unix nanoseconds), falling back to the oldest
-// retained one; Latest returns the newest. Both report ok=false only
-// when the store is empty. A tracker given a source scores its window
-// from the store — the same edges a /debug/tsdb range query resolves, so
-// the two computations agree by construction — instead of its in-memory
-// ring.
-type WindowSource interface {
-	EdgeBefore(cutoffNs int64) (telemetry.Snapshot, bool)
-	Latest() (telemetry.Snapshot, bool)
-}
-
-// Tracker scores objectives over a rolling window of telemetry
-// snapshots. Observe is driven by the daemon's health ticker; the window
-// is realized as the delta between the newest retained snapshot and the
-// oldest one still inside the window, using the histogram bucket deltas
-// for latency quantiles. Burn rates are published as gauges
-// (health.slo.burn.<name>) so alert rules can fire on them.
+// Tracker scores objectives over the newest window of the daemon's metric
+// history: the delta between the store's newest point and the newest
+// point at or before it minus the window (tsdb.DB.Window), using the
+// histogram bucket deltas for latency quantiles. The store is the only
+// window authority — the tracker keeps no samples and reads no clock,
+// since points carry their own time — so /debug/slo and a /debug/tsdb
+// range query over the same span agree by construction. Burn rates are
+// published as gauges (health.slo.burn.<name>) so alert rules can fire
+// on them.
 type Tracker struct {
-	mu         sync.Mutex
+	store      *tsdb.DB
 	window     time.Duration
 	objectives []Objective
-	samples    []sample
-	source     WindowSource
 	burn       map[string]*telemetry.Gauge
-	now        func() time.Time
 }
 
-// NewTracker builds a tracker. Window <= 0 defaults to 10 minutes.
-func NewTracker(window time.Duration, objectives []Objective, reg *telemetry.Registry) (*Tracker, error) {
+// NewTracker builds a tracker over store. Window <= 0 defaults to 10
+// minutes.
+func NewTracker(store *tsdb.DB, window time.Duration, objectives []Objective, reg *telemetry.Registry) (*Tracker, error) {
 	if window <= 0 {
 		window = 10 * time.Minute
 	}
@@ -151,9 +135,9 @@ func NewTracker(window time.Duration, objectives []Objective, reg *telemetry.Reg
 		reg = telemetry.Default
 	}
 	t := &Tracker{
+		store:  store,
 		window: window,
 		burn:   make(map[string]*telemetry.Gauge, len(objectives)),
-		now:    time.Now,
 	}
 	for _, o := range objectives {
 		if err := o.validate(); err != nil {
@@ -165,101 +149,33 @@ func NewTracker(window time.Duration, objectives []Objective, reg *telemetry.Reg
 	return t, nil
 }
 
-// SetNow substitutes the clock (tests).
-func (t *Tracker) SetNow(now func() time.Time) {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	t.now = now
-}
-
-// SetSource points the tracker at a durable window store. From then on
-// the in-memory sample ring stops accumulating and every score reads its
-// window edges from the source.
-func (t *Tracker) SetSource(src WindowSource) {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	t.source = src
-	t.samples = nil
-}
-
-// Observe appends a snapshot, evicts samples older than the window, and
-// republishes every objective's burn-rate gauge. With a WindowSource set
-// the snapshot argument is ignored — the source (which the caller
-// appends to on its own cadence) is the single authority on window
-// edges.
-func (t *Tracker) Observe(snap telemetry.Snapshot) {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	if t.source == nil {
-		now := t.now()
-		t.samples = append(t.samples, sample{at: now, snap: snap})
-		// Keep one sample at-or-before the window edge so the delta spans the
-		// full window rather than starting at the first in-window sample.
-		cutoff := now.Add(-t.window)
-		for len(t.samples) >= 2 && !t.samples[1].at.After(cutoff) {
-			t.samples = t.samples[1:]
-		}
-	}
-	for _, st := range t.statusesLocked() {
+// Publish re-scores every objective over the store's newest window and
+// republishes its burn-rate gauge. The daemon calls it once per tick,
+// right after appending that tick's point.
+func (t *Tracker) Publish() {
+	for _, st := range t.Report().Objectives {
 		t.burn[st.Name].Set(st.BurnRate)
 	}
 }
 
-// Window returns the configured rolling window.
-func (t *Tracker) Window() time.Duration { return t.window }
-
-// Report scores every objective over the current window.
+// Report scores every objective over the window [EdgeBefore(latest −
+// window), latest]. One point is an empty window: a store that has seen
+// a single point scores no burn, whatever its counters held at boot.
 func (t *Tracker) Report() Report {
-	t.mu.Lock()
-	defer t.mu.Unlock()
+	prev, cur, n := t.store.Window(t.window)
 	r := Report{
 		WindowMs:   t.window.Milliseconds(),
-		Samples:    len(t.samples),
-		Objectives: t.statusesLocked(),
+		SpanMs:     (cur.TsNs - prev.TsNs) / int64(time.Millisecond),
+		Samples:    n,
+		Objectives: make([]ObjectiveStatus, 0, len(t.objectives)),
 	}
-	switch {
-	case t.source != nil:
-		if cur, ok := t.source.Latest(); ok {
-			if prev, ok := t.source.EdgeBefore(t.now().Add(-t.window).UnixNano()); ok {
-				r.SpanMs = (cur.UnixNs - prev.UnixNs) / int64(time.Millisecond)
-			}
-		}
-	case len(t.samples) >= 2:
-		r.SpanMs = t.samples[len(t.samples)-1].at.Sub(t.samples[0].at).Milliseconds()
+	for _, o := range t.objectives {
+		r.Objectives = append(r.Objectives, scoreObjective(o, cur, prev))
 	}
 	return r
 }
 
-// statusesLocked scores the objectives against the retained window.
-// Caller holds t.mu.
-func (t *Tracker) statusesLocked() []ObjectiveStatus {
-	var cur, prev telemetry.Snapshot
-	switch {
-	case t.source != nil:
-		// Durable store: the window is [EdgeBefore(now−window), Latest] —
-		// the exact edges a /debug/tsdb query over the same interval
-		// resolves, so burn rates agree between the two by construction.
-		var ok bool
-		if cur, ok = t.source.Latest(); ok {
-			prev, _ = t.source.EdgeBefore(t.now().Add(-t.window).UnixNano())
-		}
-	case len(t.samples) == 0:
-		// No data yet: everything scores as an empty window.
-	case len(t.samples) == 1:
-		// Boot window: the whole first snapshot counts.
-		cur = t.samples[0].snap
-	default:
-		cur = t.samples[len(t.samples)-1].snap
-		prev = t.samples[0].snap
-	}
-	out := make([]ObjectiveStatus, 0, len(t.objectives))
-	for _, o := range t.objectives {
-		out = append(out, scoreObjective(o, cur, prev))
-	}
-	return out
-}
-
-func scoreObjective(o Objective, cur, prev telemetry.Snapshot) ObjectiveStatus {
+func scoreObjective(o Objective, cur, prev tsdb.Point) ObjectiveStatus {
 	st := ObjectiveStatus{Name: o.Name, Kind: o.kind(), Target: o.Target, Budget: o.Budget}
 	counterDelta := func(name string) int64 {
 		d := cur.Counters[name] - prev.Counters[name]
@@ -289,7 +205,7 @@ func scoreObjective(o Objective, cur, prev telemetry.Snapshot) ObjectiveStatus {
 		st.Total = st.Bad
 	case "gauge":
 		// An instantaneous level, not a windowed delta: only the newest
-		// sample matters, and negatives clamp to an empty budget.
+		// point matters, and negatives clamp to an empty budget.
 		if level = cur.Gauges[o.Gauge]; level < 0 {
 			level = 0
 		}

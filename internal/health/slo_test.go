@@ -1,27 +1,53 @@
 package health
 
 import (
-	"sync"
 	"testing"
 	"time"
 
 	"jarvis/internal/telemetry"
+	"jarvis/internal/tsdb"
 )
 
 // The burn-rate math is what the alerting and dashboards consume; these
-// tests drive synthetic snapshots through a tracker and check the SRE
-// identities: burn = badFraction / (1 − target), burn 1.0 = exactly at
-// budget, and eviction keeps the window rolling.
+// tests drive stamped points through a memory-only store and a tracker
+// scoring it, and check the SRE identities: burn = badFraction / (1 −
+// target), burn 1.0 = exactly at budget, and eviction keeps the window
+// rolling.
 
-func sloClock(start time.Time, step time.Duration) func() time.Time {
-	var mu sync.Mutex
-	t := start
-	return func() time.Time {
-		mu.Lock()
-		defer mu.Unlock()
-		t = t.Add(step)
-		return t
+// sloFixture is a tracker over a memory-only store, fed the way the
+// daemon's health tick feeds it: snapshot, append, re-score.
+type sloFixture struct {
+	tr  *Tracker
+	db  *tsdb.DB
+	reg *telemetry.Registry
+	now time.Time
+}
+
+func newSLOFixture(t *testing.T, window time.Duration, objs ...Objective) *sloFixture {
+	t.Helper()
+	db, err := tsdb.Open("", tsdb.Options{Window: window})
+	if err != nil {
+		t.Fatal(err)
 	}
+	reg := telemetry.New(8)
+	tr, err := NewTracker(db, window, objs, reg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return &sloFixture{tr: tr, db: db, reg: reg, now: time.Unix(1700000000, 0)}
+}
+
+// tick advances the fixture's time by d, appends the registry's snapshot
+// stamped at it, and re-scores.
+func (f *sloFixture) tick(t *testing.T, d time.Duration) {
+	t.Helper()
+	f.now = f.now.Add(d)
+	p := tsdb.FromSnapshot(f.reg.Snapshot())
+	p.TsNs = f.now.UnixNano()
+	if err := f.db.Append(p); err != nil {
+		t.Fatal(err)
+	}
+	f.tr.Publish()
 }
 
 func statusByName(t *testing.T, r Report, name string) ObjectiveStatus {
@@ -36,21 +62,16 @@ func statusByName(t *testing.T, r Report, name string) ObjectiveStatus {
 }
 
 func TestRatioObjectiveBurnRate(t *testing.T) {
-	reg := telemetry.New(8)
-	obj := Objective{Name: "degraded", Bad: "bad", Total: "total", Target: 0.99}
-	tr, err := NewTracker(time.Minute, []Objective{obj}, reg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	tr.SetNow(sloClock(time.Unix(1700000000, 0), time.Second))
+	f := newSLOFixture(t, time.Minute, Objective{Name: "degraded", Bad: "bad", Total: "total", Target: 0.99})
+	tr, reg := f.tr, f.reg
 
 	bad, total := reg.Counter("bad"), reg.Counter("total")
 	total.Add(1000)
-	tr.Observe(reg.Snapshot())
+	f.tick(t, time.Second)
 	// Window: +2 bad / +1000 total → badFraction 0.002, budget 0.01 → burn 0.2.
 	bad.Add(2)
 	total.Add(1000)
-	tr.Observe(reg.Snapshot())
+	f.tick(t, time.Second)
 
 	st := statusByName(t, tr.Report(), "degraded")
 	if st.Bad != 2 || st.Total != 1000 {
@@ -69,7 +90,7 @@ func TestRatioObjectiveBurnRate(t *testing.T) {
 	// Exactly at budget: +10 bad / +1000 total → burn 1.0, still met.
 	bad.Add(10)
 	total.Add(1000)
-	tr.Observe(reg.Snapshot())
+	f.tick(t, time.Second)
 	// The window now spans both deltas: 12/2000 → 0.006/0.01 = 0.6... use a
 	// fresh tracker assertion instead: burn is monotone in badFraction.
 	st = statusByName(t, tr.Report(), "degraded")
@@ -80,7 +101,7 @@ func TestRatioObjectiveBurnRate(t *testing.T) {
 	// Blow the budget: +100 bad / +100 total.
 	bad.Add(100)
 	total.Add(100)
-	tr.Observe(reg.Snapshot())
+	f.tick(t, time.Second)
 	st = statusByName(t, tr.Report(), "degraded")
 	if st.Met || st.BurnRate <= 1 {
 		t.Fatalf("burn = %v met=%v, want out of SLO", st.BurnRate, st.Met)
@@ -88,19 +109,14 @@ func TestRatioObjectiveBurnRate(t *testing.T) {
 }
 
 func TestLatencyObjective(t *testing.T) {
-	reg := telemetry.New(8)
-	obj := Objective{Name: "p99", Histogram: "lat", ThresholdNs: 10_000_000, Target: 0.99}
-	tr, err := NewTracker(time.Minute, []Objective{obj}, reg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	tr.SetNow(sloClock(time.Unix(1700000000, 0), time.Second))
+	f := newSLOFixture(t, time.Minute, Objective{Name: "p99", Histogram: "lat", ThresholdNs: 10_000_000, Target: 0.99})
+	tr := f.tr
 
-	h := reg.Histogram("lat")
+	h := f.reg.Histogram("lat")
 	for i := 0; i < 1000; i++ {
 		h.ObserveNs(1000)
 	}
-	tr.Observe(reg.Snapshot())
+	f.tick(t, time.Second)
 	st := statusByName(t, tr.Report(), "p99")
 	if !st.Met || st.Bad != 0 {
 		t.Fatalf("all-fast window: %+v", st)
@@ -114,7 +130,7 @@ func TestLatencyObjective(t *testing.T) {
 	for i := 0; i < 50; i++ {
 		h.ObserveNs(100_000_000)
 	}
-	tr.Observe(reg.Snapshot())
+	f.tick(t, time.Second)
 	st = statusByName(t, tr.Report(), "p99")
 	if st.Total != 1000 {
 		t.Fatalf("windowed total = %d, want 1000 (old epoch leaked in)", st.Total)
@@ -128,24 +144,19 @@ func TestLatencyObjective(t *testing.T) {
 }
 
 func TestBudgetObjective(t *testing.T) {
-	reg := telemetry.New(8)
-	obj := Objective{Name: "violations", Counter: "unsafe", Budget: 5}
-	tr, err := NewTracker(time.Minute, []Objective{obj}, reg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	tr.SetNow(sloClock(time.Unix(1700000000, 0), time.Second))
+	f := newSLOFixture(t, time.Minute, Objective{Name: "violations", Counter: "unsafe", Budget: 5})
+	tr := f.tr
 
-	c := reg.Counter("unsafe")
-	tr.Observe(reg.Snapshot())
+	c := f.reg.Counter("unsafe")
+	f.tick(t, time.Second)
 	c.Add(2)
-	tr.Observe(reg.Snapshot())
+	f.tick(t, time.Second)
 	st := statusByName(t, tr.Report(), "violations")
 	if st.BurnRate != 0.4 || !st.Met {
 		t.Fatalf("2/5 budget: %+v", st)
 	}
 	c.Add(10)
-	tr.Observe(reg.Snapshot())
+	f.tick(t, time.Second)
 	st = statusByName(t, tr.Report(), "violations")
 	if st.Met || st.BurnRate <= 1 {
 		t.Fatalf("12/5 budget: %+v", st)
@@ -153,20 +164,15 @@ func TestBudgetObjective(t *testing.T) {
 }
 
 func TestWindowEviction(t *testing.T) {
-	reg := telemetry.New(8)
-	obj := Objective{Name: "violations", Counter: "unsafe", Budget: 5}
-	tr, err := NewTracker(10*time.Second, []Objective{obj}, reg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	tr.SetNow(sloClock(time.Unix(1700000000, 0), 4*time.Second))
+	f := newSLOFixture(t, 10*time.Second, Objective{Name: "violations", Counter: "unsafe", Budget: 5})
+	tr := f.tr
 
-	c := reg.Counter("unsafe")
+	c := f.reg.Counter("unsafe")
 	c.Add(100) // old sin, before the first sample
-	tr.Observe(reg.Snapshot())
+	f.tick(t, 4*time.Second)
 	// 4s apart; the 10s window holds ~3 samples.
 	for i := 0; i < 5; i++ {
-		tr.Observe(reg.Snapshot())
+		f.tick(t, 4*time.Second)
 	}
 	st := statusByName(t, tr.Report(), "violations")
 	if st.Bad != 0 {
@@ -174,10 +180,66 @@ func TestWindowEviction(t *testing.T) {
 	}
 	r := tr.Report()
 	if r.Samples > 4 {
-		t.Fatalf("retained %d samples over a 10s window at 4s cadence", r.Samples)
+		t.Fatalf("window spans %d samples over a 10s window at 4s cadence", r.Samples)
+	}
+	if p := f.db.Stats().Points; p > 4 {
+		t.Fatalf("store retained %d points over a 10s window at 4s cadence", p)
 	}
 	if r.SpanMs > 12_000 {
 		t.Fatalf("window span %dms exceeds the configured window by more than one step", r.SpanMs)
+	}
+}
+
+func TestTrackerScoresStoreWindow(t *testing.T) {
+	f := newSLOFixture(t, time.Minute, Objective{Name: "degraded", Bad: "bad", Total: "total", Target: 0.99})
+	tr, reg := f.tr, f.reg
+	bad, total := reg.Counter("bad"), reg.Counter("total")
+
+	// t+0: baseline inside the window.
+	total.Add(1000)
+	f.tick(t, 0)
+	// t+30s: +5 bad / +1000 total.
+	bad.Add(5)
+	total.Add(1000)
+	f.tick(t, 30*time.Second)
+
+	st := statusByName(t, tr.Report(), "degraded")
+	if st.Bad != 5 || st.Total != 1000 {
+		t.Fatalf("windowed bad/total = %d/%d, want 5/1000 (edges from the store)", st.Bad, st.Total)
+	}
+	if st.BurnRate < 0.49 || st.BurnRate > 0.51 {
+		t.Fatalf("burn = %v, want 0.5", st.BurnRate)
+	}
+	if g := reg.Snapshot().Gauges["health.slo.burn.degraded"]; g < 0.49 || g > 0.51 {
+		t.Fatalf("burn gauge = %v, want 0.5", g)
+	}
+
+	// Advance past the window: the old baseline falls off and the newest
+	// at-or-before edge moves up.
+	bad.Add(1)
+	total.Add(100)
+	f.tick(t, 90*time.Second)
+	st = statusByName(t, tr.Report(), "degraded")
+	// Edge before now-1m is the t+30s sample: window = +1 bad / +100 total.
+	if st.Bad != 1 || st.Total != 100 {
+		t.Fatalf("windowed bad/total after roll = %d/%d, want 1/100", st.Bad, st.Total)
+	}
+
+	// SpanMs and Samples reflect the store's edges.
+	if r := tr.Report(); r.SpanMs != (90*time.Second).Milliseconds() || r.Samples != 2 {
+		t.Fatalf("SpanMs = %d, Samples = %d, want 90000 and 2", r.SpanMs, r.Samples)
+	}
+}
+
+func TestTrackerSourceSinglePointIsEmptyWindow(t *testing.T) {
+	f := newSLOFixture(t, time.Minute, Objective{Name: "b", Counter: "c", Budget: 10})
+	f.reg.Counter("c").Add(7)
+	f.tick(t, 0)
+	// One point: both edges resolve to it, so the window is empty — a
+	// freshly-started store never replays pre-history as burn.
+	st := statusByName(t, f.tr.Report(), "b")
+	if st.Bad != 0 || st.BurnRate != 0 {
+		t.Fatalf("single-point window scored bad=%d burn=%v, want empty", st.Bad, st.BurnRate)
 	}
 }
 
@@ -190,7 +252,7 @@ func TestObjectiveValidation(t *testing.T) {
 		{Name: "x", Histogram: "h", ThresholdNs: 1, Target: 1}, // target 1 divides by zero
 	}
 	for i, o := range bad {
-		if _, err := NewTracker(time.Minute, []Objective{o}, telemetry.New(8)); err == nil {
+		if _, err := NewTracker(nil, time.Minute, []Objective{o}, telemetry.New(8)); err == nil {
 			t.Errorf("case %d: NewTracker accepted %+v", i, o)
 		}
 	}

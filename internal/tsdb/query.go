@@ -2,6 +2,7 @@ package tsdb
 
 import (
 	"sort"
+	"time"
 
 	"jarvis/internal/telemetry"
 )
@@ -13,12 +14,12 @@ import (
 //   - prev = the newest point at or before fromNs, falling back to the
 //     oldest retained point when none precedes fromNs.
 //
-// That prev fallback is deliberate: it is exactly the "oldest retained
-// sample" edge the SLO tracker's in-memory ring used, so burn rates
-// recomputed from the store agree with the tracker during warm-up, when
-// history is shorter than the window. Counter deltas clamp at zero so a
-// daemon restart (counter reset) reads as a quiet window, not a negative
-// rate.
+// That prev fallback is deliberate: during warm-up, when history is
+// shorter than the window, the window starts at the first point, and the
+// SLO tracker (health.Tracker, which scores Window) and a range query
+// over the same span resolve the same edges. Counter deltas clamp at zero
+// so a daemon restart (counter reset) reads as a quiet window, not a
+// negative rate.
 
 // Sample is one scalar observation of a series.
 type Sample struct {
@@ -39,12 +40,18 @@ func (db *DB) edgeBeforeLocked(cutoffNs int64) (Point, bool) {
 	if len(db.points) == 0 {
 		return Point{}, false
 	}
+	return db.points[db.edgeIndexLocked(cutoffNs)], true
+}
+
+// edgeIndexLocked indexes the newest point at or before cutoffNs, or the
+// oldest point when none precedes it. The store must not be empty.
+func (db *DB) edgeIndexLocked(cutoffNs int64) int {
 	// First index with TsNs > cutoff; the point before it is the edge.
 	i := sort.Search(len(db.points), func(i int) bool { return db.points[i].TsNs > cutoffNs })
 	if i == 0 {
-		return db.points[0], true
+		return 0
 	}
-	return db.points[i-1], true
+	return i - 1
 }
 
 // Latest returns the newest point.
@@ -55,6 +62,20 @@ func (db *DB) Latest() (Point, bool) {
 		return Point{}, false
 	}
 	return db.points[len(db.points)-1], true
+}
+
+// Window resolves the newest span-long window: cur is the newest point,
+// prev = EdgeBefore(cur.TsNs − span), and n counts the points from prev
+// to cur inclusive (0 when the store is empty, 1 when prev is cur).
+func (db *DB) Window(span time.Duration) (prev, cur Point, n int) {
+	db.mu.Lock()
+	defer db.mu.Unlock()
+	if len(db.points) == 0 {
+		return Point{}, Point{}, 0
+	}
+	cur = db.points[len(db.points)-1]
+	i := db.edgeIndexLocked(cur.TsNs - span.Nanoseconds())
+	return db.points[i], cur, len(db.points) - i
 }
 
 // edges resolves the window's (prev, cur) pair.

@@ -1,15 +1,16 @@
 // Package tsdb is an embedded, per-daemon time-series store for telemetry
-// snapshots: an append-only log of delta-encoded metric samples with
-// WAL-style segment rotation, retention, and crash recovery, plus an
-// in-memory mirror the query side (range, rate, delta,
-// quantile-over-time) serves from.
+// snapshots: an in-memory mirror the query side (range, rate, delta,
+// quantile-over-time) serves from, bounded to one window by age, and —
+// when opened on a directory — an append-only log of delta-encoded metric
+// samples with WAL-style segment rotation, retention, and crash recovery.
 //
 // The daemon appends one Point — every counter, gauge, and histogram in
 // the registry, labeled series included — every -ts-interval. That turns
-// the point-in-time /metrics scrape into durable history: SLO burn rates
-// re-read their windows from the store instead of bespoke in-memory
-// rings, `jarvisctl top` sparklines p99s from it, and a restart loses at
-// most the tail the crash tore.
+// the point-in-time /metrics scrape into history: SLO burn rates score
+// their windows from the store, `jarvisctl top` sparklines p99s from it,
+// and with a directory a restart loses at most the tail the crash tore.
+// Opened without a directory the store keeps the mirror only; the query
+// code is the same in both modes.
 //
 // # On-disk format
 //
@@ -58,6 +59,7 @@ import (
 	"strings"
 	"sync"
 	"syscall"
+	"time"
 
 	"jarvis/internal/telemetry"
 )
@@ -97,7 +99,7 @@ func FromSnapshot(s telemetry.Snapshot) Point {
 }
 
 // Options tunes a DB. The zero value is usable: 1 MiB segments, retain 8
-// sealed segments, mirror 4096 points in memory.
+// sealed segments, mirror a 10-minute window in memory.
 type Options struct {
 	// SegmentBytes rotates the active segment once it exceeds this size
 	// (default 1 MiB).
@@ -105,10 +107,11 @@ type Options struct {
 	// Retain caps sealed segments kept after rotation (default 8; <0
 	// keeps everything).
 	Retain int
-	// MemoryPoints caps the in-memory mirror the query side reads
-	// (default 4096; oldest evicted first). Disk retention and the memory
-	// ring are independent bounds.
-	MemoryPoints int
+	// Window bounds the in-memory mirror the query side reads by age: it
+	// keeps the newest point at or before newest−Window plus every point
+	// after it, so a query over the newest Window always finds its far
+	// edge (default 10m). Disk retention is an independent bound.
+	Window time.Duration
 }
 
 func (o Options) withDefaults() Options {
@@ -118,8 +121,8 @@ func (o Options) withDefaults() Options {
 	if o.Retain == 0 {
 		o.Retain = 8
 	}
-	if o.MemoryPoints <= 0 {
-		o.MemoryPoints = 4096
+	if o.Window <= 0 {
+		o.Window = 10 * time.Minute
 	}
 	return o
 }
@@ -147,7 +150,8 @@ type DB struct {
 	dir  string
 	opts Options
 
-	mu          sync.Mutex
+	mu sync.Mutex
+	// f is the active segment; nil for a memory-only store.
 	f           *os.File
 	seq         uint64
 	size        int64
@@ -166,13 +170,16 @@ type DB struct {
 }
 
 // Open creates dir if needed, recovers any existing history into the
-// in-memory mirror, and returns a DB ready to append.
+// in-memory mirror, and returns a DB ready to append. An empty dir opens
+// a memory-only store: no segments, nothing written, nothing to recover.
 func Open(dir string, opts Options) (*DB, error) {
-	opts = opts.withDefaults()
+	db := &DB{dir: dir, opts: opts.withDefaults()}
+	if dir == "" {
+		return db, nil
+	}
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("tsdb: %w", err)
 	}
-	db := &DB{dir: dir, opts: opts}
 	segs, err := listSegments(dir)
 	if err != nil {
 		return nil, err
@@ -242,6 +249,10 @@ func (db *DB) Append(p Point) error {
 	if n := len(db.points); n > 0 && p.TsNs < db.points[n-1].TsNs {
 		return nil
 	}
+	if db.f == nil { // memory-only: the mirror is the store
+		db.appendPointLocked(p)
+		return nil
+	}
 	full := db.enc == nil
 	if full {
 		db.enc = newEncoder()
@@ -281,17 +292,18 @@ func (db *DB) Append(p Point) error {
 func (db *DB) Sync() error {
 	db.mu.Lock()
 	defer db.mu.Unlock()
-	if db.closed {
+	if db.closed || db.f == nil {
 		return nil
 	}
 	return db.f.Sync()
 }
 
-// Close syncs and closes the active segment.
+// Close syncs and closes the active segment (a no-op for a memory-only
+// store).
 func (db *DB) Close() error {
 	db.mu.Lock()
 	defer db.mu.Unlock()
-	if db.closed {
+	if db.closed || db.f == nil {
 		return nil
 	}
 	db.closed = true
@@ -307,9 +319,11 @@ func (db *DB) Stats() Stats {
 	db.mu.Lock()
 	defer db.mu.Unlock()
 	s := Stats{
-		Segments:  len(db.sealed) + 1,
 		SizeBytes: db.sealedBytes + db.size,
 		Points:    len(db.points),
+	}
+	if db.f != nil {
+		s.Segments = len(db.sealed) + 1
 	}
 	if n := len(db.points); n > 0 {
 		s.OldestNs = db.points[0].TsNs
@@ -320,11 +334,17 @@ func (db *DB) Stats() Stats {
 	return s
 }
 
+// appendPointLocked mirrors p and evicts every point older than the
+// window's far edge: the newest point at or before p.TsNs−Window stays.
 func (db *DB) appendPointLocked(p Point) {
 	db.points = append(db.points, p)
-	if over := len(db.points) - db.opts.MemoryPoints; over > 0 {
-		db.points = append(db.points[:0], db.points[over:]...)
+	cutoff := p.TsNs - db.opts.Window.Nanoseconds()
+	i := 0
+	for i+1 < len(db.points) && db.points[i+1].TsNs <= cutoff {
+		i++
 	}
+	clear(db.points[:i]) // drop the evicted points' maps for the GC
+	db.points = db.points[i:]
 }
 
 func (db *DB) rotateLocked() error {

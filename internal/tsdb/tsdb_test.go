@@ -4,6 +4,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -222,7 +223,7 @@ func TestRotationAndRetention(t *testing.T) {
 		t.Fatalf("Stats.Segments = %d, disk has %d", st.Segments, len(segs))
 	}
 	if st.Points != 60 {
-		t.Fatalf("Stats.Points = %d, want 60 (memory ring independent of disk retention)", st.Points)
+		t.Fatalf("Stats.Points = %d, want 60 (memory mirror independent of disk retention)", st.Points)
 	}
 	// Each surviving segment opens with a full record: reopen decodes
 	// without the deleted segments.
@@ -238,22 +239,109 @@ func TestRotationAndRetention(t *testing.T) {
 	}
 }
 
-func TestMemoryRingEviction(t *testing.T) {
-	dir := t.TempDir()
-	db, err := Open(dir, Options{MemoryPoints: 10})
+// TestMirrorKeepsFullWindow: the in-memory mirror is bounded by age, not
+// by count. At a 100ms cadence a 10-minute window is 6,001 points; the
+// far edge must sit exactly one window back, with everything older
+// evicted.
+func TestMirrorKeepsFullWindow(t *testing.T) {
+	const step = 100 * time.Millisecond
+	db, err := Open("", Options{Window: 10 * time.Minute})
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer db.Close()
-	for i := int64(1); i <= 25; i++ {
-		db.Append(mkPoint(i*1000, map[string]int64{"c": i}, nil))
+	const n = 7000 // 11m40s of history
+	for i := int64(0); i < n; i++ {
+		if err := db.Append(mkPoint(i*step.Nanoseconds(), map[string]int64{"c": i}, nil)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	latest, _ := db.Latest()
+	edge, _ := db.EdgeBefore(latest.TsNs - (10 * time.Minute).Nanoseconds())
+	if back := time.Duration(latest.TsNs - edge.TsNs); back != 10*time.Minute {
+		t.Fatalf("EdgeBefore(latest−10m) reaches back %v, want 10m", back)
 	}
 	st := db.Stats()
-	if st.Points != 10 {
-		t.Fatalf("Points = %d, want 10", st.Points)
+	if st.OldestNs != edge.TsNs || st.Points != 6001 {
+		t.Fatalf("mirror keeps %d points from %dns, want 6001 from the edge at %dns", st.Points, st.OldestNs, edge.TsNs)
 	}
-	if st.OldestNs != 16000 {
-		t.Fatalf("OldestNs = %d, want 16000", st.OldestNs)
+	if prev, cur, span := db.Window(10 * time.Minute); prev.TsNs != edge.TsNs || cur.TsNs != latest.TsNs || span != 6001 {
+		t.Fatalf("Window(10m) = [%d, %d] over %d points, want [%d, %d] over 6001", prev.TsNs, cur.TsNs, span, edge.TsNs, latest.TsNs)
+	}
+}
+
+// TestConcurrentAppendAndWindow: readers race an appender whose every
+// append evicts; each window they resolve must still be ordered and no
+// wider than one window plus one step. Run under -race.
+func TestConcurrentAppendAndWindow(t *testing.T) {
+	const step, window = int64(10 * time.Millisecond), time.Second
+	db, err := Open("", Options{Window: window})
+	if err != nil {
+		t.Fatal(err)
+	}
+	done := make(chan struct{})
+	var wg sync.WaitGroup
+	for r := 0; r < 3; r++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for {
+				select {
+				case <-done:
+					return
+				default:
+				}
+				prev, cur, n := db.Window(window)
+				if n > 0 && (prev.TsNs > cur.TsNs || cur.TsNs-prev.TsNs > window.Nanoseconds()+step) {
+					t.Errorf("window [%d, %d] over %d points is out of order or too wide", prev.TsNs, cur.TsNs, n)
+					return
+				}
+				db.Series("c", 0, cur.TsNs)
+				db.Stats()
+			}
+		}()
+	}
+	for i := int64(0); i < 2000; i++ {
+		if err := db.Append(mkPoint(i*step, map[string]int64{"c": i}, nil)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	close(done)
+	wg.Wait()
+	if st := db.Stats(); st.Points != 101 {
+		t.Fatalf("mirror keeps %d points, want 101 (one 1s window at 10ms)", st.Points)
+	}
+}
+
+// TestMemoryOnlyStore: an empty dir keeps the mirror only — appends and
+// queries work as on disk, nothing is written, and Sync/Close are no-ops.
+func TestMemoryOnlyStore(t *testing.T) {
+	db, err := Open("", Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, _, n := db.Window(time.Minute); n != 0 {
+		t.Fatalf("empty store's window spans %d points", n)
+	}
+	for i := int64(1); i <= 3; i++ {
+		if err := db.Append(mkPoint(i*int64(time.Second), map[string]int64{"c": i * 10}, nil)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if d, ok := db.Delta("c", 0, 3*int64(time.Second)); !ok || d != 20 {
+		t.Fatalf("Delta = %v ok=%v, want 20", d, ok)
+	}
+	st := db.Stats()
+	if st.Segments != 0 || st.SizeBytes != 0 || st.Points != 3 {
+		t.Fatalf("Stats = %+v, want 0 segments, 0 bytes, 3 points", st)
+	}
+	if rec := db.Recovery(); rec != (RecoveryStats{}) {
+		t.Fatalf("Recovery = %+v, want zero", rec)
+	}
+	if err := db.Sync(); err != nil {
+		t.Fatal(err)
+	}
+	if err := db.Close(); err != nil {
+		t.Fatal(err)
 	}
 }
 
