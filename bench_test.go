@@ -6,11 +6,13 @@ package jarvis_test
 
 import (
 	"math/rand"
+	"sync"
 	"testing"
 	"time"
 
 	"jarvis/internal/anomaly"
 	"jarvis/internal/attack"
+	"jarvis/internal/compiled"
 	"jarvis/internal/dataset"
 	"jarvis/internal/env"
 	"jarvis/internal/experiment"
@@ -550,6 +552,78 @@ func BenchmarkReplaySampleInto(b *testing.B) {
 		dst = r.SampleInto(dst, 64, rng)
 		if len(dst) != 64 {
 			b.Fatal("bad sample")
+		}
+	}
+}
+
+// --- Compiled policy table ------------------------------------------------
+//
+// Both benchmarks run the table jarvisd compiles by default: the tabular
+// full home trained at seed 1 over 7 learning days and 60 episodes.
+
+// compiledSink keeps the benchmarked lookups from being optimized away.
+var compiledSink float64
+
+// compiledHome trains the daemon's default policy and enables its
+// compiled-policy cache, built once, under mu.
+func compiledHome(b *testing.B, mu *sync.Mutex) *replay.Assets {
+	b.Helper()
+	a, err := replay.Build(replay.Config{Seed: 1})
+	if err != nil {
+		b.Fatal(err)
+	}
+	if err := a.Train(); err != nil {
+		b.Fatal(err)
+	}
+	if err := a.Sys.EnableCompiledPolicy(mu, compiled.Options{}); err != nil {
+		b.Fatal(err)
+	}
+	return a
+}
+
+// BenchmarkCompiledLookup times one compiled-table lookup (state-key
+// encode, row, cell and palette loads), cycling over every state the agent
+// holds a Q row for plus the initial state, at minutes spread over the day.
+// It asserts the lookup allocation-free before timing.
+func BenchmarkCompiledLookup(b *testing.B) {
+	var mu sync.Mutex
+	a := compiledHome(b, &mu)
+	e := a.Home.Env
+	states := []env.State{a.Home.InitialState()}
+	a.Sys.Agent().Q().(rl.RowIterator).Rows(func(sk uint64, _ int) {
+		states = append(states, e.DecodeState(sk))
+	})
+	p := a.Sys.CompiledPolicy().Policy()
+	i := 0
+	lookup := func() {
+		d, ok := p.Lookup(states[i%len(states)], i*37%smarthome.InstancesPerDay)
+		if !ok {
+			b.Fatal("lookup miss")
+		}
+		compiledSink += d.Value
+		i++
+	}
+	if allocs := testing.AllocsPerRun(100, lookup); allocs != 0 {
+		b.Fatalf("Lookup allocates %.1f objects per call, want 0", allocs)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for n := 0; n < b.N; n++ {
+		lookup()
+	}
+}
+
+// BenchmarkCompiledRebuild times one rebuild of the compiled table through
+// the cache, as the daemon runs it after every learn step; B/op is what
+// each rebuild allocates.
+func BenchmarkCompiledRebuild(b *testing.B) {
+	var mu sync.Mutex
+	c := compiledHome(b, &mu).Sys.CompiledPolicy()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for n := 0; n < b.N; n++ {
+		if err := c.RebuildNow(); err != nil {
+			b.Fatal(err)
 		}
 	}
 }

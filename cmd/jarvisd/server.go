@@ -42,7 +42,7 @@ type serverConfig struct {
 	UseDNN bool
 
 	// Compiled enables the compiled-policy fast path: after training or
-	// restore, the greedy policy is distilled into a dense state×bucket
+	// restore, the greedy policy is distilled into a state×bucket
 	// decision table that serves steady-state recommendations without
 	// touching the agent. Oversized products (e.g. the per-minute DNN
 	// backend) refuse to compile and the daemon transparently keeps the

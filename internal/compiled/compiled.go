@@ -1,6 +1,6 @@
-// Package compiled distills a trained agent's greedy policy into a dense
+// Package compiled distills a trained agent's greedy policy into a
 // (state × time-bucket) → decision table, turning steady-state Recommend
-// into a bounds-checked array load with P_safe already intersected.
+// into three bounds-checked array loads with P_safe already intersected.
 //
 // The discrete FSM-product state space is exactly enumerable
 // (env.StateKey / env.DecodeState), and the tabular Q backend's values
@@ -10,6 +10,13 @@
 // intersection, and FSM fallback the live path runs — so compiled
 // decisions are bit-identical to Agent.Recommend by construction, which
 // the golden tests assert.
+//
+// A trained agent leaves almost every state at the default decision (the
+// safe NoOp), so the table is two-level: one row number per state key,
+// and one row of palette indices per state with at least one non-default
+// cell. Every other state shares row 0, which is all default. The table
+// costs 4 B per state plus buckets×4 B per state the agent learned
+// something for.
 //
 // Oversized products (e.g. the full home under the per-minute DQN) refuse
 // to compile with ErrTooLarge and the caller keeps serving through the
@@ -39,9 +46,11 @@ var ErrUncompilable = errors.New("compiled: Q values outside the compilable regi
 
 // Options tunes compilation.
 type Options struct {
-	// MaxEntries caps the dense index length (default 4M entries ≈ 16 MiB
-	// of uint32 slots — admits the full home's 103,680 states × 24 tabular
-	// buckets, rejects the per-minute DQN product).
+	// MaxEntries caps the state×bucket cells Compile enumerates (default
+	// 4M — admits the full home's 103,680 states × 24 tabular buckets,
+	// rejects the per-minute DQN product). It bounds the compile's work,
+	// not the table's memory, which grows with the states that hold a
+	// non-default decision.
 	MaxEntries uint64
 }
 
@@ -63,19 +72,19 @@ type Decision struct {
 	Degraded bool
 }
 
-// Policy is an immutable compiled policy table: a dense
-// stateKey×bucket → palette-index array plus the deduplicated decision
+// Policy is an immutable compiled policy table: a per-state row number,
+// rows of per-bucket palette indices, and the deduplicated decision
 // palette. Lookups are lock-free and allocation-free; a new table is
 // swapped in atomically by the Cache after each rebuild.
 type Policy struct {
 	e       *env.Environment
 	buckets int
-	n       int // instances per day
-	states  uint64
-	idx     []uint32
+	n       int      // instances per day
+	rowOf   []uint32 // state key → row; row 0 is the shared all-default row
+	cells   []uint32 // row*buckets + bucket → palette index
 	palette []Decision
 
-	populated int           // non-default entries
+	populated int           // non-default cells
 	buildTime time.Duration // wall time of the compile
 }
 
@@ -88,20 +97,20 @@ func (p *Policy) Lookup(s env.State, t int) (Decision, bool) {
 		return Decision{}, false
 	}
 	key := p.e.StateKey(s)
-	if key >= p.states {
+	if key >= uint64(len(p.rowOf)) {
 		return Decision{}, false
 	}
 	b := t * p.buckets / p.n
 	if b >= p.buckets {
 		b = p.buckets - 1
 	}
-	return p.palette[p.idx[key*uint64(p.buckets)+uint64(b)]], true
+	return p.palette[p.cells[uint64(p.rowOf[key])*uint64(p.buckets)+uint64(b)]], true
 }
 
-// Entries returns the dense index length (states × buckets).
-func (p *Policy) Entries() int { return len(p.idx) }
+// Entries returns the cells the table covers (states × buckets).
+func (p *Policy) Entries() int { return len(p.rowOf) * p.buckets }
 
-// Populated returns how many entries hold a non-default decision.
+// Populated returns how many cells hold a non-default decision.
 func (p *Policy) Populated() int { return p.populated }
 
 // PaletteSize returns the number of distinct decisions in the table.
@@ -140,7 +149,8 @@ type compiler struct {
 // only populated rows are evaluated, everything else defaults to the safe
 // NoOp with value 0 — provably what the greedy composition returns for an
 // all-zero Q row (the NoOp index wins every tie at the top of the
-// ranking).
+// ranking). Either way a state gets a row of its own only when one of its
+// cells holds a non-default decision.
 func Compile(e *env.Environment, a *rl.Agent, instances int, opt Options) (*Policy, error) {
 	if e == nil || a == nil {
 		return nil, errors.New("compiled: nil environment or agent")
@@ -167,14 +177,16 @@ func Compile(e *env.Environment, a *rl.Agent, instances int, opt Options) (*Poli
 	c := &compiler{
 		e: e, a: a,
 		p: &Policy{
-			e: e, buckets: buckets, n: n, states: states,
-			idx: make([]uint32, states*uint64(buckets)),
+			e: e, buckets: buckets, n: n,
+			rowOf: make([]uint32, states),
+			cells: make([]uint32, buckets),
 		},
 		dedup:   make(map[paletteKey]uint32),
 		scratch: make(env.State, e.K()),
 	}
-	// Palette slot 0 is the default every unevaluated cell points at: the
-	// safe NoOp with value 0 (idling is always FSM-valid, so not degraded).
+	// Palette slot 0 is the default every unevaluated cell and all of row 0
+	// point at: the safe NoOp with value 0 (idling is always FSM-valid, so
+	// not degraded).
 	noop := Decision{Action: env.NoOp(e.K())}
 	c.p.palette = append(c.p.palette, noop)
 	c.dedup[c.key(noop)] = 0
@@ -230,10 +242,22 @@ func (c *compiler) cell(stateKey uint64, bucket int) {
 		c.p.palette = append(c.p.palette, d)
 		c.dedup[c.key(d)] = pi
 	}
-	if pi != 0 {
-		c.p.populated++
+	if pi == 0 {
+		return // every cell starts at the default
 	}
-	c.p.idx[stateKey*uint64(c.p.buckets)+uint64(bucket)] = pi
+	c.p.populated++
+	row := c.p.rowOf[stateKey]
+	if row == 0 {
+		rows := len(c.p.cells) / c.p.buckets
+		if rows > math.MaxUint32 {
+			c.err = fmt.Errorf("compiled: row overflow at %d states", rows)
+			return
+		}
+		row = uint32(rows)
+		c.p.rowOf[stateKey] = row
+		c.p.cells = append(c.p.cells, make([]uint32, c.p.buckets)...)
+	}
+	c.p.cells[uint64(row)*uint64(c.p.buckets)+uint64(bucket)] = pi
 }
 
 func (c *compiler) key(d Decision) paletteKey {

@@ -4,14 +4,17 @@ import (
 	"errors"
 	"math"
 	"math/rand"
+	"runtime"
 	"sync"
 	"testing"
 
 	"jarvis/internal/compiled"
 	"jarvis/internal/device"
 	"jarvis/internal/env"
+	"jarvis/internal/replay"
 	"jarvis/internal/reward"
 	"jarvis/internal/rl"
+	"jarvis/internal/smarthome"
 )
 
 // testEnv builds a 3-light environment: 8 states, 7 mini-actions — small
@@ -463,4 +466,75 @@ func TestLookupAllocationFree(t *testing.T) {
 		t.Fatalf("Lookup allocates %.1f objects per call, want 0", allocs)
 	}
 	_ = sink
+}
+
+// TestCompileFootprint compiles the daemon's default tabular full-home
+// policy (seed 1, 7 learning days, 60 episodes), where only a few hundred
+// of the 2.5M state×bucket cells hold a non-default decision. One compile
+// must allocate under 1 MiB, so the table is sized by the states the
+// agent learned, not by the product. Lookup must reproduce
+// Agent.CompileDecision plus the FSM fallback bit for bit on every bucket
+// of every state with a Q row, and of a sample of the other states that
+// includes key 0 and the highest key.
+func TestCompileFootprint(t *testing.T) {
+	a, err := replay.Build(replay.Config{Seed: 1})
+	if err != nil {
+		t.Fatalf("Build: %v", err)
+	}
+	if err := a.Train(); err != nil {
+		t.Fatalf("Train: %v", err)
+	}
+	e, agent, n := a.Home.Env, a.Sys.Agent(), smarthome.InstancesPerDay
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	p, err := compiled.Compile(e, agent, n, compiled.Options{})
+	runtime.ReadMemStats(&after)
+	if err != nil {
+		t.Fatalf("Compile: %v", err)
+	}
+	states := e.NumStateCombinations()
+	buckets := p.Buckets()
+	if p.Entries() != int(states)*buckets {
+		t.Fatalf("Entries = %d, want %d states × %d buckets", p.Entries(), states, buckets)
+	}
+	alloc := after.TotalAlloc - before.TotalAlloc
+	if alloc >= 1<<20 {
+		t.Fatalf("one Compile allocates %.2f MiB (%d of %d cells populated), want < 1 MiB",
+			float64(alloc)/(1<<20), p.Populated(), p.Entries())
+	}
+	t.Logf("one Compile allocates %.2f MiB; %d of %d cells populated",
+		float64(alloc)/(1<<20), p.Populated(), p.Entries())
+
+	keys := map[uint64]bool{0: true, states - 1: true}
+	agent.Q().(rl.RowIterator).Rows(func(sk uint64, _ int) { keys[sk] = true })
+	for sk := uint64(0); sk < states; sk += 1009 {
+		keys[sk] = true
+	}
+	scratch := make(env.State, e.K())
+	for sk := range keys {
+		s := e.DecodeState(sk)
+		for b := 0; b < buckets; b++ {
+			first := (b*n + buckets - 1) / buckets
+			last := ((b+1)*n+buckets-1)/buckets - 1
+			act, val, ok := agent.CompileDecision(s, first)
+			if !ok {
+				t.Fatalf("state %d bucket %d: uncompilable Q", sk, b)
+			}
+			degraded := !e.TransitionOK(scratch, s, act)
+			if degraded {
+				act, val = env.NoOp(e.K()), 0
+			}
+			for _, tt := range []int{first, last} {
+				d, ok := p.Lookup(s, tt)
+				if !ok {
+					t.Fatalf("state %d t %d: no compiled entry", sk, tt)
+				}
+				if e.ActionKey(d.Action) != e.ActionKey(act) ||
+					math.Float64bits(d.Value) != math.Float64bits(val) || d.Degraded != degraded {
+					t.Fatalf("state %d t %d: compiled %v %v degraded=%t, agent %v %v degraded=%t",
+						sk, tt, d.Action, d.Value, d.Degraded, act, val, degraded)
+				}
+			}
+		}
+	}
 }

@@ -6,7 +6,8 @@ import "jarvis/internal/telemetry"
 // only atomics. hits/misses count fast-path serves vs agent fallbacks,
 // rebuilds counts table swaps, staleness_ms is the invalidate→swap gap of
 // the latest rebuild (the window during which recommendations fell back to
-// the agent), entries is the dense index length of the live table.
+// the agent), entries is the cells the live table covers (states ×
+// buckets).
 var (
 	mHits      = telemetry.Default.Counter("policy.compiled.hits")
 	mMisses    = telemetry.Default.Counter("policy.compiled.misses")

@@ -3,6 +3,7 @@ package replay
 import (
 	"bytes"
 	"fmt"
+	"math/rand"
 
 	"jarvis"
 	"jarvis/internal/device"
@@ -31,7 +32,8 @@ type Audit func(from, to uint64, a env.Action) bool
 type Stream struct {
 	a    *Assets
 	cfg  Config
-	next env.State // Decide's transition scratch
+	next env.State  // Decide's transition scratch
+	rng  *rand.Rand // reseeded for every learn step
 
 	State       env.State
 	Violations  int // applied events P_safe denied
@@ -44,7 +46,10 @@ type Stream struct {
 // NewStream positions a stream at the home's initial state, over assets
 // built under cfg.
 func NewStream(a *Assets, cfg Config) *Stream {
-	return &Stream{a: a, cfg: cfg.withDefaults(), State: a.Home.InitialState()}
+	return &Stream{
+		a: a, cfg: cfg.withDefaults(), State: a.Home.InitialState(),
+		rng: rand.New(rand.NewSource(0)),
+	}
 }
 
 // Step is what one apply step did.
@@ -87,8 +92,10 @@ func (st *Stream) Event(audit Audit, d int, act device.ActionID) (Step, error) {
 // OnlineTrainEvery transitions. Each learn step draws from an RNG seeded
 // only by (seed, transition count), never by wall clock or by how the
 // process got here, so a replay walks the training trajectory of the run
-// it replays. A learn step ran under a sampled request records its span
-// under sp (nil otherwise).
+// it replays. The stream reseeds one RNG per step rather than allocating
+// one; a reseeded source draws exactly what rl.StepRNG's fresh one does.
+// A learn step ran under a sampled request records its span under sp
+// (nil otherwise).
 func (st *Stream) Observe(sp *trace.Span, prev env.State, a env.Action, minute int) Step {
 	st.OnlineSteps++
 	step := Step{Seq: st.OnlineSteps}
@@ -100,7 +107,8 @@ func (st *Stream) Observe(sp *trace.Span, prev env.State, a env.Action, minute i
 	}
 	step.Observed, step.Reward = true, reward
 	if every := st.cfg.OnlineTrainEvery; every > 0 && st.OnlineSteps%every == 0 {
-		ran, err := sys.LearnOnlineTraced(sp, rl.StepRNG(st.cfg.Seed, st.OnlineSteps))
+		st.rng.Seed(rl.StepSeed(uint64(st.cfg.Seed), uint64(st.OnlineSteps)))
+		ran, err := sys.LearnOnlineTraced(sp, st.rng)
 		switch {
 		case err != nil:
 			st.cfg.Logf("replay: txn #%d: learn step failed: %v", step.Seq, err)

@@ -3,6 +3,8 @@ package replay
 import (
 	"bytes"
 	"testing"
+
+	"jarvis/internal/env"
 )
 
 // FuzzApplyRecord decodes arbitrary bytes as replication-stream or WAL
@@ -45,4 +47,53 @@ func FuzzApplyRecord(f *testing.F) {
 		}
 		learned = r.Stats().Transitions != ck.OnlineSteps
 	})
+}
+
+// TestLearnStepRNGAllocationFree pins the learn step's randomness to the
+// stream's own reseeded source: on a trained tabular stream, four Observes
+// that include one learn step allocate as many objects as four Observes
+// that learn nothing.
+func TestLearnStepRNGAllocationFree(t *testing.T) {
+	a := buildTrained(t)
+	e := a.Home.Env
+	prev := a.Home.InitialState()
+	tv, ok := e.DeviceIndex("tv")
+	if !ok {
+		t.Fatal("no tv")
+	}
+	on, ok := e.Device(tv).ActionID("power_on")
+	if !ok {
+		t.Fatal("tv has no power_on")
+	}
+	act := env.NoOp(e.K())
+	act[tv] = on
+	const minute = 600
+	observe4 := func(st *Stream) func() {
+		return func() {
+			for i := 0; i < 4; i++ {
+				if step := st.Observe(nil, prev, act, minute); !step.Observed {
+					t.Fatalf("txn #%d not observed", step.Seq)
+				}
+			}
+		}
+	}
+	learning := NewStream(a, testConfig)
+	idleCfg := testConfig
+	idleCfg.OnlineTrainEvery = -1
+	idle := NewStream(a, idleCfg)
+	// Warm the Q rows the replay buffer's experiences update, so the
+	// measured learn steps create no table rows.
+	for i := 0; i < 200; i++ {
+		observe4(learning)()
+	}
+	learned := learning.LearnSteps
+	with := testing.AllocsPerRun(100, observe4(learning))
+	without := testing.AllocsPerRun(100, observe4(idle))
+	if learning.LearnSteps-learned != 101 || idle.LearnSteps != 0 {
+		t.Fatalf("learn steps: %d while measured, %d idle; want 101 and 0",
+			learning.LearnSteps-learned, idle.LearnSteps)
+	}
+	if with != without {
+		t.Fatalf("4 Observes allocate %.0f objects with a learn step, %.0f without", with, without)
+	}
 }

@@ -71,9 +71,9 @@ type System struct {
 	agent    *rl.Agent
 	sim      *rl.SimEnv
 	degraded int
-	// compiled, when enabled, caches the agent's greedy policy as a dense
-	// state×time-bucket table; steady-state RecommendDecision becomes a
-	// bounds-checked array load. Nil until EnableCompiledPolicy.
+	// compiled, when enabled, caches the agent's greedy policy as a
+	// state×time-bucket table; steady-state RecommendDecision becomes three
+	// bounds-checked array loads. Nil until EnableCompiledPolicy.
 	compiled *compiled.Cache
 }
 
@@ -416,10 +416,11 @@ func (s *System) RecommendDecision(state env.State, t int) (Decision, error) {
 // under sp; nil span = RecommendDecision.
 //
 // When a compiled policy is enabled and clean, unsampled requests (nil
-// span) are served straight from the table: one state-key encode and a
-// bounds-checked array load, zero allocations. Sampled requests take the
-// agent path so traces keep covering the full selection pipeline — the
-// decisions are bit-identical either way, which the golden tests pin.
+// span) are served straight from the table: one state-key encode and
+// three bounds-checked array loads, zero allocations. Sampled requests
+// take the agent path so traces keep covering the full selection
+// pipeline — the decisions are bit-identical either way, which the golden
+// tests pin.
 func (s *System) RecommendDecisionTraced(sp *trace.Span, state env.State, t int) (Decision, error) {
 	if c := s.compiled; c != nil && sp == nil {
 		if p := c.Policy(); p != nil {
