@@ -82,11 +82,12 @@ fuzz:
 
 # Measure the batched compute core and write BENCH_core.json, plus the
 # allocation-asserting micro-benchmarks of the root package, among them the
-# deep-Q learn step at the daemon's shape and the compiled policy table's
-# lookup and rebuild on the daemon's default home.
+# deep-Q learn step at the daemon's shape, the replay buffer's Add of
+# values it already holds, and the compiled policy table's lookup and
+# rebuild on the daemon's default home.
 bench:
 	$(GO) run ./cmd/jarvis bench
-	$(GO) test -run xxx -bench 'ForwardBatch|TrainBatch64|DQNLearnStep|ReplaySampleInto|CompiledLookup|CompiledRebuild|NNTrainBatch|NNForward$$|Table3ActionQuality' -benchmem .
+	$(GO) test -run xxx -bench 'ForwardBatch|TrainBatch64|DQNLearnStep|ReplaySampleInto|ReplayAdd|CompiledLookup|CompiledRebuild|NNTrainBatch|NNForward$$|Table3ActionQuality' -benchmem .
 
 # Serving-path benchmark: spawn the legacy shape (JSON + DQN, compiled
 # tables off) and the fast shape (binary wire + tabular + compiled tables),

@@ -14,6 +14,7 @@ import (
 	"jarvis/internal/attack"
 	"jarvis/internal/compiled"
 	"jarvis/internal/dataset"
+	"jarvis/internal/device"
 	"jarvis/internal/env"
 	"jarvis/internal/experiment"
 	"jarvis/internal/nn"
@@ -553,6 +554,44 @@ func BenchmarkReplaySampleInto(b *testing.B) {
 		if len(dst) != 64 {
 			b.Fatal("bad sample")
 		}
+	}
+}
+
+// BenchmarkReplayAdd times one Add into a full buffer whose states and
+// mini-action lists it already holds, as an online ingest of a revisited
+// state runs it: content-keying three values and evicting the oldest slot.
+// It asserts such an Add allocation-free before timing.
+func BenchmarkReplayAdd(b *testing.B) {
+	states := make([]env.State, 64)
+	for i := range states {
+		states[i] = make(env.State, 11)
+		for j := range states[i] {
+			states[i][j] = device.StateID(i >> (j % 6) & 1)
+		}
+	}
+	minis := make([][]int, 8)
+	for i := range minis {
+		minis[i] = []int{i, 8 + i}
+	}
+	r := rl.NewReplay(4096)
+	i := 0
+	add := func() {
+		r.Add(rl.Experience{
+			S: states[i%64], T: i % 1440, Minis: minis[i%8], R: 1,
+			Next: states[(i+1)%64], NextT: i%1440 + 1,
+		})
+		i++
+	}
+	for r.Len() < 4096 {
+		add()
+	}
+	if allocs := testing.AllocsPerRun(100, add); allocs != 0 {
+		b.Fatalf("Add of seen values allocates %.1f objects per call, want 0", allocs)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for n := 0; n < b.N; n++ {
+		add()
 	}
 }
 

@@ -193,7 +193,6 @@ func runBench(path string, out *os.File) error {
 			row.Name, row.NsPerOp, row.BytesPerOp, row.AllocsPerOp)
 	}
 	snap := telemetry.Default.Snapshot()
-	snap.Events = nil // event ring is runtime context, not a bench artifact
 	report.Telemetry = &snap
 	data, err := json.MarshalIndent(report, "", "  ")
 	if err != nil {

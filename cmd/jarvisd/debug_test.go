@@ -379,11 +379,10 @@ func TestDecisionLogSyncDurability(t *testing.T) {
 }
 
 // TestFinalSnapshotMarshals: the shutdown farewell line must always be
-// producible — the snapshot with events stripped marshals to one JSON
-// object even while metrics carry data.
+// producible — the snapshot marshals to one JSON object even while
+// metrics carry data.
 func TestFinalSnapshotMarshals(t *testing.T) {
 	snap := telemetry.Default.Snapshot()
-	snap.Events = nil
 	b, err := json.Marshal(snap)
 	if err != nil {
 		t.Fatalf("final snapshot does not marshal: %v", err)

@@ -188,7 +188,6 @@ func run(args []string) error {
 	// after the /metrics listener is gone.
 	err = srv.Close()
 	snap := telemetry.Default.Snapshot()
-	snap.Events = nil // keep the farewell line compact
 	if b, merr := json.Marshal(snap); merr == nil {
 		fmt.Fprintf(os.Stderr, "jarvisd: final telemetry snapshot: %s\n", b)
 	}

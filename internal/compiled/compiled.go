@@ -1,6 +1,6 @@
 // Package compiled distills a trained agent's greedy policy into a
 // (state × time-bucket) → decision table, turning steady-state Recommend
-// into three bounds-checked array loads with P_safe already intersected.
+// into a few bounds-checked array loads with P_safe already intersected.
 //
 // The discrete FSM-product state space is exactly enumerable
 // (env.StateKey / env.DecodeState), and the tabular Q backend's values
@@ -12,11 +12,12 @@
 // the golden tests assert.
 //
 // A trained agent leaves almost every state at the default decision (the
-// safe NoOp), so the table is two-level: one row number per state key,
-// and one row of palette indices per state with at least one non-default
-// cell. Every other state shares row 0, which is all default. The table
-// costs 4 B per state plus buckets×4 B per state the agent learned
-// something for.
+// safe NoOp), so the table is two-level: a bitmap over state keys marking
+// the states with at least one non-default cell, each of which owns one
+// row of palette indices, numbered by its rank among the marked states.
+// Every other state shares row 0, which is all default. The table costs
+// 1.5 bits per state (the bitmap and a 32-bit rank per 64-state word) plus
+// buckets×4 B per state the agent learned something for.
 //
 // Oversized products (e.g. the full home under the per-minute DQN) refuse
 // to compile with ErrTooLarge and the caller keeps serving through the
@@ -28,6 +29,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"math/bits"
 	"time"
 
 	"jarvis/internal/env"
@@ -72,15 +74,20 @@ type Decision struct {
 	Degraded bool
 }
 
-// Policy is an immutable compiled policy table: a per-state row number,
-// rows of per-bucket palette indices, and the deduplicated decision
-// palette. Lookups are lock-free and allocation-free; a new table is
-// swapped in atomically by the Cache after each rebuild.
+// Policy is an immutable compiled policy table: a bitmap of the states
+// that own a row, rows of per-bucket palette indices, and the deduplicated
+// decision palette. Lookups are lock-free and allocation-free; a new table
+// is swapped in atomically by the Cache after each rebuild.
 type Policy struct {
 	e       *env.Environment
 	buckets int
-	n       int      // instances per day
-	rowOf   []uint32 // state key → row; row 0 is the shared all-default row
+	n       int    // instances per day
+	states  uint64 // state keys covered
+	// owns has bit key%64 of word key/64 set when state key owns a row;
+	// rank[w] counts the owners below word w, so an owner's row is one
+	// past its rank among them. Row 0 is the shared all-default row.
+	owns    []uint64
+	rank    []uint32
 	cells   []uint32 // row*buckets + bucket → palette index
 	palette []Decision
 
@@ -97,18 +104,27 @@ func (p *Policy) Lookup(s env.State, t int) (Decision, bool) {
 		return Decision{}, false
 	}
 	key := p.e.StateKey(s)
-	if key >= uint64(len(p.rowOf)) {
+	if key >= p.states {
 		return Decision{}, false
 	}
 	b := t * p.buckets / p.n
 	if b >= p.buckets {
 		b = p.buckets - 1
 	}
-	return p.palette[p.cells[uint64(p.rowOf[key])*uint64(p.buckets)+uint64(b)]], true
+	return p.palette[p.cells[p.row(key)*uint64(p.buckets)+uint64(b)]], true
+}
+
+// row returns state key's row: 0 unless it owns one.
+func (p *Policy) row(key uint64) uint64 {
+	w, bit := key/64, uint64(1)<<(key%64)
+	if p.owns[w]&bit == 0 {
+		return 0
+	}
+	return uint64(p.rank[w]) + uint64(bits.OnesCount64(p.owns[w]&(bit-1))) + 1
 }
 
 // Entries returns the cells the table covers (states × buckets).
-func (p *Policy) Entries() int { return len(p.rowOf) * p.buckets }
+func (p *Policy) Entries() int { return int(p.states) * p.buckets }
 
 // Populated returns how many cells hold a non-default decision.
 func (p *Policy) Populated() int { return p.populated }
@@ -131,14 +147,31 @@ type paletteKey struct {
 	degraded  bool
 }
 
-// compiler accumulates one table build.
+// compiler accumulates one table build. It evaluates every cell in reused
+// buffers, so a cell allocates only when its decision is a new palette
+// entry.
 type compiler struct {
-	e       *env.Environment
-	a       *rl.Agent
-	p       *Policy
-	dedup   map[paletteKey]uint32
-	scratch env.State // FSM-check destination buffer
+	e     *env.Environment
+	a     *rl.Agent
+	p     *Policy
+	dedup map[paletteKey]uint32
+	// actions holds one read-only copy of each distinct palette action,
+	// keyed by its action key: many decisions differ only in value.
+	actions map[uint64]env.Action
+	// learned lists the non-default cells in evaluation order; the rows
+	// are laid out once the owners are known.
+	learned []learnedCell
+	state   env.State  // the evaluated cell's decoded state
+	act     env.Action // its composed greedy action
+	next    env.State  // FSM-check destination buffer
 	err     error
+}
+
+// learnedCell is one cell holding a non-default decision.
+type learnedCell struct {
+	key    uint64
+	bucket int
+	pi     uint32
 }
 
 // Compile enumerates the state×time product and precomputes the greedy
@@ -176,13 +209,12 @@ func Compile(e *env.Environment, a *rl.Agent, instances int, opt Options) (*Poli
 	start := time.Now()
 	c := &compiler{
 		e: e, a: a,
-		p: &Policy{
-			e: e, buckets: buckets, n: n,
-			rowOf: make([]uint32, states),
-			cells: make([]uint32, buckets),
-		},
+		p:       &Policy{e: e, buckets: buckets, n: n, states: states},
 		dedup:   make(map[paletteKey]uint32),
-		scratch: make(env.State, e.K()),
+		actions: make(map[uint64]env.Action),
+		state:   make(env.State, e.K()),
+		act:     make(env.Action, e.K()),
+		next:    make(env.State, e.K()),
 	}
 	// Palette slot 0 is the default every unevaluated cell and all of row 0
 	// point at: the safe NoOp with value 0 (idling is always FSM-valid, so
@@ -190,6 +222,7 @@ func Compile(e *env.Environment, a *rl.Agent, instances int, opt Options) (*Poli
 	noop := Decision{Action: env.NoOp(e.K())}
 	c.p.palette = append(c.p.palette, noop)
 	c.dedup[c.key(noop)] = 0
+	c.actions[c.e.ActionKey(noop.Action)] = noop.Action
 
 	if ri, ok := a.Q().(rl.RowIterator); ok {
 		ri.Rows(func(stateKey uint64, bucket int) {
@@ -208,8 +241,29 @@ func Compile(e *env.Environment, a *rl.Agent, instances int, opt Options) (*Poli
 	if c.err != nil {
 		return nil, c.err
 	}
+	c.layout()
 	c.p.buildTime = time.Since(start)
 	return c.p, nil
+}
+
+// layout builds the owner bitmap, its ranks and the rows from the learned
+// cells.
+func (c *compiler) layout() {
+	p := c.p
+	words := (p.states + 63) / 64
+	p.owns, p.rank = make([]uint64, words), make([]uint32, words)
+	for _, lc := range c.learned {
+		p.owns[lc.key/64] |= 1 << (lc.key % 64)
+	}
+	var owners uint32
+	for w, m := range p.owns {
+		p.rank[w] = owners
+		owners += uint32(bits.OnesCount64(m))
+	}
+	p.cells = make([]uint32, (uint64(owners)+1)*uint64(p.buckets))
+	for _, lc := range c.learned {
+		p.cells[p.row(lc.key)*uint64(p.buckets)+uint64(lc.bucket)] = lc.pi
+	}
 }
 
 // cell evaluates one (stateKey, bucket) pair through the agent at the
@@ -218,46 +272,47 @@ func Compile(e *env.Environment, a *rl.Agent, instances int, opt Options) (*Poli
 // every instance of the bucket.
 func (c *compiler) cell(stateKey uint64, bucket int) {
 	t := (bucket*c.p.n + c.p.buckets - 1) / c.p.buckets
-	s := c.e.DecodeState(stateKey)
-	act, val, ok := c.a.CompileDecision(s, t)
+	s := c.e.DecodeStateInto(c.state, stateKey)
+	act, val, ok := c.a.CompileDecision(c.act, s, t)
 	if !ok {
 		c.err = fmt.Errorf("%w: non-finite or runaway Q at state %d bucket %d",
 			ErrUncompilable, stateKey, bucket)
 		return
 	}
+	c.act = act
 	d := Decision{Action: act, Value: val}
 	// Pre-apply the serving path's FSM guard: System.Recommend falls back
 	// to the safe NoOp (value 0, degraded) when the composition does not
 	// survive a transition check.
-	if !c.e.TransitionOK(c.scratch, s, act) {
-		d = Decision{Action: env.NoOp(c.e.K()), Degraded: true}
+	if !c.e.TransitionOK(c.next, s, act) {
+		d = Decision{Action: c.p.palette[0].Action, Degraded: true}
 	}
-	pi, seen := c.dedup[c.key(d)]
+	k := c.key(d)
+	pi, seen := c.dedup[k]
 	if !seen {
 		if len(c.p.palette) > math.MaxUint32 {
 			c.err = fmt.Errorf("compiled: palette overflow at %d decisions", len(c.p.palette))
 			return
 		}
 		pi = uint32(len(c.p.palette))
+		shared, ok := c.actions[k.act]
+		if !ok {
+			shared = d.Action.Clone()
+			c.actions[k.act] = shared
+		}
+		d.Action = shared
 		c.p.palette = append(c.p.palette, d)
-		c.dedup[c.key(d)] = pi
+		c.dedup[k] = pi
 	}
 	if pi == 0 {
 		return // every cell starts at the default
 	}
-	c.p.populated++
-	row := c.p.rowOf[stateKey]
-	if row == 0 {
-		rows := len(c.p.cells) / c.p.buckets
-		if rows > math.MaxUint32 {
-			c.err = fmt.Errorf("compiled: row overflow at %d states", rows)
-			return
-		}
-		row = uint32(rows)
-		c.p.rowOf[stateKey] = row
-		c.p.cells = append(c.p.cells, make([]uint32, c.p.buckets)...)
+	if len(c.learned) == math.MaxUint32 {
+		c.err = fmt.Errorf("compiled: row overflow at %d learned cells", len(c.learned))
+		return
 	}
-	c.p.cells[uint64(row)*uint64(c.p.buckets)+uint64(bucket)] = pi
+	c.p.populated++
+	c.learned = append(c.learned, learnedCell{key: stateKey, bucket: bucket, pi: pi})
 }
 
 func (c *compiler) key(d Decision) paletteKey {

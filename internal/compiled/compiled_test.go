@@ -471,8 +471,10 @@ func TestLookupAllocationFree(t *testing.T) {
 // TestCompileFootprint compiles the daemon's default tabular full-home
 // policy (seed 1, 7 learning days, 60 episodes), where only a few hundred
 // of the 2.5M state×bucket cells hold a non-default decision. One compile
-// must allocate under 1 MiB, so the table is sized by the states the
-// agent learned, not by the product. Lookup must reproduce
+// must allocate under 256 KiB in under 200 objects: the table is sized by
+// the states the agent learned, not by the product, its per-state index
+// is a bitmap, and evaluating a cell allocates only for a new palette
+// entry. Lookup must reproduce
 // Agent.CompileDecision plus the FSM fallback bit for bit on every bucket
 // of every state with a Q row, and of a sample of the other states that
 // includes key 0 and the highest key.
@@ -497,13 +499,13 @@ func TestCompileFootprint(t *testing.T) {
 	if p.Entries() != int(states)*buckets {
 		t.Fatalf("Entries = %d, want %d states × %d buckets", p.Entries(), states, buckets)
 	}
-	alloc := after.TotalAlloc - before.TotalAlloc
-	if alloc >= 1<<20 {
-		t.Fatalf("one Compile allocates %.2f MiB (%d of %d cells populated), want < 1 MiB",
-			float64(alloc)/(1<<20), p.Populated(), p.Entries())
+	alloc, objects := after.TotalAlloc-before.TotalAlloc, after.Mallocs-before.Mallocs
+	if alloc >= 256<<10 || objects >= 200 {
+		t.Fatalf("one Compile allocates %.1f KiB in %d objects (%d of %d cells populated), want < 256 KiB in < 200",
+			float64(alloc)/(1<<10), objects, p.Populated(), p.Entries())
 	}
-	t.Logf("one Compile allocates %.2f MiB; %d of %d cells populated",
-		float64(alloc)/(1<<20), p.Populated(), p.Entries())
+	t.Logf("one Compile allocates %.1f KiB in %d objects; %d of %d cells populated, palette %d",
+		float64(alloc)/(1<<10), objects, p.Populated(), p.Entries(), p.PaletteSize())
 
 	keys := map[uint64]bool{0: true, states - 1: true}
 	agent.Q().(rl.RowIterator).Rows(func(sk uint64, _ int) { keys[sk] = true })
@@ -516,7 +518,7 @@ func TestCompileFootprint(t *testing.T) {
 		for b := 0; b < buckets; b++ {
 			first := (b*n + buckets - 1) / buckets
 			last := ((b+1)*n+buckets-1)/buckets - 1
-			act, val, ok := agent.CompileDecision(s, first)
+			act, val, ok := agent.CompileDecision(nil, s, first)
 			if !ok {
 				t.Fatalf("state %d bucket %d: uncompilable Q", sk, b)
 			}

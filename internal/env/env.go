@@ -203,12 +203,17 @@ func (e *Environment) StateKey(s State) uint64 {
 
 // DecodeState inverts StateKey.
 func (e *Environment) DecodeState(key uint64) State {
-	s := make(State, len(e.devices))
+	return e.DecodeStateInto(make(State, len(e.devices)), key)
+}
+
+// DecodeStateInto is DecodeState into dst, which must hold K() entries; it
+// returns dst.
+func (e *Environment) DecodeStateInto(dst State, key uint64) State {
 	for i := range e.devices {
 		n := uint64(e.devices[i].NumStates())
-		s[i] = device.StateID((key / e.radix[i]) % n)
+		dst[i] = device.StateID((key / e.radix[i]) % n)
 	}
-	return s
+	return dst
 }
 
 // ActionKey encodes a composite action into a compact uint64 using

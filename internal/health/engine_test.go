@@ -30,7 +30,7 @@ func testClock() func() time.Time {
 
 func newTestEngine(t *testing.T, rules []Rule, logPath string) (*Engine, *telemetry.Registry) {
 	t.Helper()
-	reg := telemetry.New(8)
+	reg := telemetry.New()
 	e, err := NewEngine(EngineConfig{
 		Rules:    rules,
 		LogPath:  logPath,
@@ -91,7 +91,7 @@ func TestAlertFiringResolvedLifecycle(t *testing.T) {
 func TestAlertDedupWhileFiring(t *testing.T) {
 	rule := Rule{Name: "hot", Metric: "temp", Op: ">", Value: 100, For: 1, ClearFor: 1}
 	var firings int
-	reg := telemetry.New(8)
+	reg := telemetry.New()
 	e, err := NewEngine(EngineConfig{
 		Rules:    []Rule{rule},
 		Registry: reg,
@@ -282,7 +282,7 @@ func TestConcurrentSnapshotDuringEvaluation(t *testing.T) {
 
 func TestHistoryRingBounded(t *testing.T) {
 	rule := Rule{Name: "hot", Metric: "temp", Op: ">", Value: 100, For: 1, ClearFor: 1}
-	reg := telemetry.New(8)
+	reg := telemetry.New()
 	e, err := NewEngine(EngineConfig{Rules: []Rule{rule}, RingSize: 4, Registry: reg, Now: testClock()})
 	if err != nil {
 		t.Fatal(err)

@@ -37,8 +37,7 @@ const (
 // snapshot rather than the cumulative value — the natural reading for
 // counters ("any new restore failures?"). A delta rule never breaches on
 // the first snapshot, and a snapshot missing the metric entirely counts
-// as clean data (the conditional telemetry.events.dropped counter only
-// appears once something dropped).
+// as clean data.
 type Rule struct {
 	Name   string `json:"name"`
 	Metric string `json:"metric"`
@@ -210,15 +209,6 @@ func DefaultRules() []Rule {
 			Severity: SeverityWarn,
 			Description: "hot standby trails the primary past its lag budget " +
 				"(gauge is absent — reads 0 — on daemons not following anyone)",
-		},
-		{
-			Name:   "telemetry-events-dropped",
-			Metric: "telemetry.events.dropped",
-			Delta:  true,
-			Op:     ">", Value: 0,
-			For: 1, ClearFor: 2,
-			Severity:    SeverityInfo,
-			Description: "the telemetry event ring overflowed and dropped structured events",
 		},
 	}
 	for i := range rules {

@@ -110,14 +110,16 @@ type Report struct {
 }
 
 // Tracker scores objectives over the newest window of the daemon's metric
-// history: the delta between the store's newest point and the newest
-// point at or before it minus the window (tsdb.DB.Window), using the
-// histogram bucket deltas for latency quantiles. The store is the only
-// window authority — the tracker keeps no samples and reads no clock,
-// since points carry their own time — so /debug/slo and a /debug/tsdb
-// range query over the same span agree by construction. Burn rates are
-// published as gauges (health.slo.burn.<name>) so alert rules can fire
-// on them.
+// history: from the newest point at or before the store's newest minus
+// the window (tsdb.DB.Window) through the newest, by each counter's
+// increase and each latency histogram's bucket increases across the
+// window's points (tsdb.DB.Delta, HistogramDelta), so a restart inside
+// the window counts the restarted process's observations. The store is
+// the only window authority — the tracker keeps no samples and reads no
+// clock, since points carry their own time — so /debug/slo and a
+// /debug/tsdb range query over the same span agree by construction. Burn
+// rates are published as gauges (health.slo.burn.<name>) so alert rules
+// can fire on them.
 type Tracker struct {
 	store      *tsdb.DB
 	window     time.Duration
@@ -170,27 +172,26 @@ func (t *Tracker) Report() Report {
 		Objectives: make([]ObjectiveStatus, 0, len(t.objectives)),
 	}
 	for _, o := range t.objectives {
-		r.Objectives = append(r.Objectives, scoreObjective(o, cur, prev))
+		r.Objectives = append(r.Objectives, t.score(o, prev, cur))
 	}
 	return r
 }
 
-func scoreObjective(o Objective, cur, prev tsdb.Point) ObjectiveStatus {
+// score scores one objective over the window between the prev and cur
+// points.
+func (t *Tracker) score(o Objective, prev, cur tsdb.Point) ObjectiveStatus {
 	st := ObjectiveStatus{Name: o.Name, Kind: o.kind(), Target: o.Target, Budget: o.Budget}
 	counterDelta := func(name string) int64 {
-		d := cur.Counters[name] - prev.Counters[name]
-		if d < 0 {
-			d = 0
-		}
-		return d
+		d, _ := t.store.Delta(name, prev.TsNs, cur.TsNs)
+		return int64(d)
 	}
 	var level float64 // gauge kind only
 	switch st.Kind {
 	case "latency":
-		ch, ph := cur.Histograms[o.Histogram], prev.Histograms[o.Histogram]
-		over, total := telemetry.DeltaCountOver(ch, ph, o.ThresholdNs)
+		h, _ := t.store.HistogramDelta(o.Histogram, prev.TsNs, cur.TsNs)
+		over, total := telemetry.DeltaCountOver(h, telemetry.HistogramStats{}, o.ThresholdNs)
 		st.Bad, st.Total, st.Good = over, total, total-over
-		if p99, ok := telemetry.DeltaQuantile(ch, ph, 0.99); ok {
+		if p99, ok := telemetry.DeltaQuantile(h, telemetry.HistogramStats{}, 0.99); ok {
 			st.P99Ns = p99
 		}
 	case "ratio":

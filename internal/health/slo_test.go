@@ -29,7 +29,7 @@ func newSLOFixture(t *testing.T, window time.Duration, objs ...Objective) *sloFi
 	if err != nil {
 		t.Fatal(err)
 	}
-	reg := telemetry.New(8)
+	reg := telemetry.New()
 	tr, err := NewTracker(db, window, objs, reg)
 	if err != nil {
 		t.Fatal(err)
@@ -231,6 +231,40 @@ func TestTrackerScoresStoreWindow(t *testing.T) {
 	}
 }
 
+// TestTrackerCountsAcrossRestart: a restart inside the window leaves the
+// old process's higher counters as the window's far edge. Appending 90,
+// 100, then (restart) 16 and 19 one minute apart must score the increase,
+// 29, not the clamped edge difference 0: for a budget counter and for a
+// latency histogram's buckets.
+func TestTrackerCountsAcrossRestart(t *testing.T) {
+	f := newSLOFixture(t, 10*time.Minute,
+		Objective{Name: "unsafe", Counter: "violations", Budget: 100},
+		Objective{Name: "slow", Histogram: "lat", ThresholdNs: int64(time.Microsecond), Target: 0.5})
+	h := f.reg.Histogram("lat")
+	h.Observe(time.Millisecond)
+	bucket := h.Stats().Buckets[0]
+	for i, v := range []int64{90, 100, 16, 19} {
+		p := tsdb.Point{
+			TsNs:     f.now.Add(time.Duration(i) * time.Minute).UnixNano(),
+			Counters: map[string]int64{"violations": v},
+			Histograms: map[string]telemetry.HistogramStats{"lat": {
+				Count:   v,
+				Buckets: []telemetry.BucketCount{{LowNs: bucket.LowNs, WidthNs: bucket.WidthNs, Count: v}},
+			}},
+		}
+		if err := f.db.Append(p); err != nil {
+			t.Fatal(err)
+		}
+	}
+	r := f.tr.Report()
+	if st := statusByName(t, r, "unsafe"); st.Bad != 29 {
+		t.Fatalf("budget objective scored Bad %d across the restart, want 29", st.Bad)
+	}
+	if st := statusByName(t, r, "slow"); st.Total != 29 || st.Bad != 29 {
+		t.Fatalf("latency objective scored %d/%d across the restart, want 29/29", st.Bad, st.Total)
+	}
+}
+
 func TestTrackerSourceSinglePointIsEmptyWindow(t *testing.T) {
 	f := newSLOFixture(t, time.Minute, Objective{Name: "b", Counter: "c", Budget: 10})
 	f.reg.Counter("c").Add(7)
@@ -252,14 +286,14 @@ func TestObjectiveValidation(t *testing.T) {
 		{Name: "x", Histogram: "h", ThresholdNs: 1, Target: 1}, // target 1 divides by zero
 	}
 	for i, o := range bad {
-		if _, err := NewTracker(nil, time.Minute, []Objective{o}, telemetry.New(8)); err == nil {
+		if _, err := NewTracker(nil, time.Minute, []Objective{o}, telemetry.New()); err == nil {
 			t.Errorf("case %d: NewTracker accepted %+v", i, o)
 		}
 	}
 }
 
 func TestShadowFailCaptureAndSkip(t *testing.T) {
-	reg := telemetry.New(8)
+	reg := telemetry.New()
 	sh := NewShadow(ShadowConfig{
 		Source:   replaySourceForTest(t),
 		Devices:  11,

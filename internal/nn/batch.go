@@ -7,9 +7,11 @@ import (
 
 // batchScratch is a per-network arena for batched passes: flat row-major
 // activation/gradient planes per layer, sized once for the largest batch
-// seen and reused for the network's lifetime. Buffers are owned by the
-// network — like Forward's output, batched results are valid until the next
-// batched call.
+// seen and reused for the network's lifetime. The gradient planes (dz, dx,
+// dOut) are allocated by the first training step through the arena, so a
+// forward-only network never holds them. Buffers are owned by the network —
+// like Forward's output, batched results are valid until the next batched
+// call.
 type batchScratch struct {
 	rows int // allocated batch capacity
 	// fwd is the row count of the forward pass the planes hold, for
@@ -38,22 +40,15 @@ func (n *Network) arena(sp **batchScratch, rows int) *batchScratch {
 		x0:   make([]float64, rows*n.inputs),
 		z:    make([][]float64, L),
 		a:    make([][]float64, L),
-		dz:   make([][]float64, L),
-		dx:   make([][]float64, L),
 	}
 	width := rows
 	for i, l := range n.layers {
 		s.z[i] = make([]float64, rows*l.out)
 		s.a[i] = make([]float64, rows*l.out)
-		s.dz[i] = make([]float64, rows*l.out)
-		if i > 0 {
-			s.dx[i] = make([]float64, rows*l.in)
-		}
 		width = max(width, l.in, l.out)
 	}
 	s.idx = make([]int, width)
 	out := n.Outputs()
-	s.dOut = make([]float64, rows*out)
 	s.outViews = make([][]float64, rows)
 	last := s.a[L-1]
 	for b := 0; b < rows; b++ {
@@ -61,6 +56,23 @@ func (n *Network) arena(sp **batchScratch, rows int) *batchScratch {
 	}
 	*sp = s
 	return s
+}
+
+// trainable gives s its gradient planes, on the first training step
+// through it.
+func (s *batchScratch) trainable(n *Network) {
+	if s.dOut != nil {
+		return
+	}
+	s.dz = make([][]float64, len(n.layers))
+	s.dx = make([][]float64, len(n.layers))
+	for i, l := range n.layers {
+		s.dz[i] = make([]float64, s.rows*l.out)
+		if i > 0 {
+			s.dx[i] = make([]float64, s.rows*l.in)
+		}
+	}
+	s.dOut = make([]float64, s.rows*n.Outputs())
 }
 
 // forward runs the forward pass over the first rows rows of the packed
@@ -122,6 +134,7 @@ func (n *Network) TrainBatch(batch []Sample, loss Loss, opt Optimizer) (float64,
 	}
 	rows := len(batch)
 	s := n.arena(&n.scratch, rows)
+	s.trainable(n)
 	for b, sm := range batch {
 		copy(s.x0[b*n.inputs:(b+1)*n.inputs], sm.X)
 	}
@@ -146,6 +159,7 @@ func (n *Network) TrainForwarded(Y [][]float64, loss Loss, opt Optimizer) (float
 	if s == nil || s.fwd == 0 || s.fwd != len(Y) {
 		return 0, fmt.Errorf("nn: no forward pass of %d rows to train from", len(Y))
 	}
+	s.trainable(n)
 	out := n.Outputs()
 	var total float64
 	for b, y := range Y {

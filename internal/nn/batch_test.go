@@ -334,3 +334,50 @@ func TestTrainBatchDivergenceGuardBatched(t *testing.T) {
 		}
 	}
 }
+
+// TestTrainingStateOnlyWhileTraining: a network that only runs forward (a
+// fresh or cloned one, batched or single-row) holds no gradient
+// accumulators or gradient planes; its first training step allocates them,
+// and Fit drops them with the batch arena when it returns.
+func TestTrainingStateOnlyWhileTraining(t *testing.T) {
+	rng := rand.New(rand.NewSource(8))
+	n := MustNew(Config{Inputs: 6, Layers: []LayerSpec{
+		{Units: 10, Act: Tanh},
+		{Units: 3, Act: Linear},
+	}}, rng)
+	batch := randomBatch(rng, 16, 6, 3)
+	X := make([][]float64, len(batch))
+	for i, sm := range batch {
+		X[i] = sm.X
+	}
+	training := func(n *Network) (grads, planes bool) {
+		for _, l := range n.layers {
+			grads = grads || l.gw != nil || l.gb != nil
+		}
+		for _, s := range []*batchScratch{n.scratch, n.single} {
+			planes = planes || (s != nil && (s.dz != nil || s.dx != nil || s.dOut != nil))
+		}
+		return grads, planes
+	}
+	for _, net := range []*Network{n, n.Clone()} {
+		net.Forward(X[0])
+		if _, err := net.ForwardBatch(X); err != nil {
+			t.Fatal(err)
+		}
+		if grads, planes := training(net); grads || planes {
+			t.Fatalf("forward-only network holds training state: grads %v, gradient planes %v", grads, planes)
+		}
+	}
+	if _, err := n.TrainBatch(batch, MSE, NewAdam(0.01)); err != nil {
+		t.Fatal(err)
+	}
+	if grads, planes := training(n); !grads || !planes {
+		t.Fatalf("training step left grads %v, gradient planes %v", grads, planes)
+	}
+	if _, err := n.Fit(batch, 2, 4, MSE, NewAdam(0.01), rng); err != nil {
+		t.Fatal(err)
+	}
+	if grads, _ := training(n); grads || n.scratch != nil {
+		t.Fatalf("Fit kept its training state: grads %v, batch arena %v", grads, n.scratch != nil)
+	}
+}

@@ -43,7 +43,8 @@ type dense struct {
 	w, b    []float64
 	act     Activation
 
-	// gradient accumulators
+	// gradient accumulators, allocated by the layer's first backward pass
+	// (zeroGrads): a network that only runs forward never holds them
 	gw, gb []float64
 
 	// wKey/bKey are the optimizer state keys for this layer's parameters,
@@ -62,18 +63,19 @@ func newDense(i, in, out int, act Activation, w, b []float64) *dense {
 	key := strconv.Itoa(i)
 	return &dense{
 		in: in, out: out, act: act, w: w, b: b,
-		gw: make([]float64, in*out), gb: make([]float64, out),
 		wKey: key + ".w", bKey: key + ".b",
 	}
 }
 
+// zeroGrads readies the gradient accumulators for a backward pass,
+// allocating them on the layer's first.
 func (l *dense) zeroGrads() {
-	for i := range l.gw {
-		l.gw[i] = 0
+	if l.gw == nil {
+		l.gw, l.gb = make([]float64, l.in*l.out), make([]float64, l.out)
+		return
 	}
-	for i := range l.gb {
-		l.gb[i] = 0
-	}
+	clear(l.gw)
+	clear(l.gb)
 }
 
 func (l *dense) scaleGrads(s float64) {
@@ -94,7 +96,7 @@ type Network struct {
 
 	// scratch is the lazily grown batch arena for ForwardBatch/TrainBatch
 	// and single the one-row arena of Forward (see batch.go). Neither is
-	// copied by Clone.
+	// copied by Clone, and Fit drops scratch when it returns.
 	scratch, single *batchScratch
 }
 
@@ -199,11 +201,19 @@ func isNonFinite(v float64) bool {
 
 // Fit trains for epochs passes over data in mini-batches of size batchSize,
 // shuffling with rng each epoch. It returns the mean loss of the final
-// epoch.
+// epoch. A fitted network is done training: Fit drops the batch arena and
+// the gradient accumulators when it returns, and a later training step
+// allocates them again.
 func (n *Network) Fit(data []Sample, epochs, batchSize int, loss Loss, opt Optimizer, rng *rand.Rand) (float64, error) {
 	if len(data) == 0 {
 		return 0, errors.New("nn: no training data")
 	}
+	defer func() {
+		n.scratch = nil
+		for _, l := range n.layers {
+			l.gw, l.gb = nil, nil
+		}
+	}()
 	if batchSize <= 0 {
 		batchSize = 32
 	}

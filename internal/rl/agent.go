@@ -224,18 +224,19 @@ func (a *Agent) Greedy(s env.State, t int) env.Action {
 			q = fresh
 		}
 	}
-	act, best := a.composeGreedy(s, q)
+	act, best := a.composeGreedy(nil, s, q)
 	a.lastValue = best
 	mGreedy.Inc()
 	return act
 }
 
 // composeGreedy ranks the mini-action values in q and greedily accepts
-// safe, actionable minis into a fresh composite — the shared back half of
-// Greedy and CompileDecision. It returns the composite and the Q value of
-// the highest-ranked accepted mini (the NoOp value when none is accepted).
-// The caller must have established that q is finite.
-func (a *Agent) composeGreedy(s env.State, q []float64) (env.Action, float64) {
+// safe, actionable minis into act, reset to the NoOp (grown to len(s), so
+// nil composes into a fresh composite) — the shared back half of Greedy
+// and CompileDecision. It returns the composite and the Q value of the
+// highest-ranked accepted mini (the NoOp value when none is accepted). The
+// caller must have established that q is finite.
+func (a *Agent) composeGreedy(act env.Action, s env.State, q []float64) (env.Action, float64) {
 	if cap(a.order) < len(q) {
 		a.order = make([]int, len(q))
 	}
@@ -250,7 +251,13 @@ func (a *Agent) composeGreedy(s env.State, q []float64) (env.Action, float64) {
 		}
 	}
 	noopQ := q[a.minis.NoOpIndex()]
-	act := env.NoOp(len(s))
+	if cap(act) < len(s) {
+		act = make(env.Action, len(s))
+	}
+	act = act[:len(s)]
+	for i := range act {
+		act[i] = device.NoAction
+	}
 	added := 0
 	best := noopQ
 	for _, idx := range order {
@@ -284,12 +291,14 @@ func (a *Agent) composeGreedy(s env.State, q []float64) (env.Action, float64) {
 // CompileDecision evaluates the greedy policy for (s, t) with no serving
 // side effects: no telemetry, no watchdog healing, no degraded counting,
 // and no LastValue mutation. The policy compiler (internal/compiled) calls
-// it while enumerating the state×time product. ok is false when the Q row
-// is non-finite or beyond the watchdog's runaway threshold — regimes the
-// live path handles with rollbacks and degraded fallbacks that a frozen
-// table cannot reproduce, so compilation refuses to cover them and the
-// caller keeps serving through the agent.
-func (a *Agent) CompileDecision(s env.State, t int) (env.Action, float64, bool) {
+// it while enumerating the state×time product. It composes the action into
+// dst, grown to len(s) when short (nil composes into a fresh action), and
+// returns it. ok is false when the Q row is non-finite or beyond the
+// watchdog's runaway threshold — regimes the live path handles with
+// rollbacks and degraded fallbacks that a frozen table cannot reproduce,
+// so compilation refuses to cover them and the caller keeps serving
+// through the agent.
+func (a *Agent) CompileDecision(dst env.Action, s env.State, t int) (env.Action, float64, bool) {
 	q := a.q.Q(s, t)
 	maxAbs, finite := scanQ(q)
 	if !finite {
@@ -298,7 +307,7 @@ func (a *Agent) CompileDecision(s env.State, t int) (env.Action, float64, bool) 
 	if a.wd != nil && maxAbs > a.wd.cfg.MaxAbsQ {
 		return nil, 0, false
 	}
-	act, best := a.composeGreedy(s, q)
+	act, best := a.composeGreedy(dst, s, q)
 	return act, best, true
 }
 
@@ -517,12 +526,10 @@ func (a *Agent) learnFailure(err error) error {
 
 // Observe appends a transition to the replay buffer without stepping the
 // simulator — the online-learning ingest path, where the environment is
-// the real home reporting through jarvisd. State slices are cloned, so the
-// caller may reuse its buffers.
+// the real home reporting through jarvisd. The buffer copies a state or
+// mini-action list the first time it sees its content, so the caller may
+// reuse its buffers.
 func (a *Agent) Observe(e Experience) {
-	e.S = append(env.State(nil), e.S...)
-	e.Next = append(env.State(nil), e.Next...)
-	e.Minis = append([]int(nil), e.Minis...)
 	a.replay.Add(e)
 	mReplaySize.SetInt(int64(a.replay.Len()))
 }

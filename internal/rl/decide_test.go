@@ -41,7 +41,8 @@ func TestDecideEverySemantics(t *testing.T) {
 	if ag.replay.Len() != 3 {
 		t.Errorf("replay entries = %d, want 3 decisions", ag.replay.Len())
 	}
-	for _, exp := range ag.replay.buf {
+	for i := 0; i < ag.replay.Len(); i++ {
+		exp := ag.replay.at(i)
 		if exp.T%3 != 0 {
 			t.Errorf("decision at non-multiple instance %d", exp.T)
 		}
@@ -50,7 +51,7 @@ func TestDecideEverySemantics(t *testing.T) {
 		}
 	}
 	// The last decision window is marked done.
-	if !ag.replay.buf[ag.replay.Len()-1].Done {
+	if !ag.replay.at(ag.replay.Len() - 1).Done {
 		t.Error("final decision should be done")
 	}
 }
@@ -115,7 +116,8 @@ func TestActionableMask(t *testing.T) {
 	if _, err := ag.Train(); err != nil {
 		t.Fatalf("Train: %v", err)
 	}
-	for _, exp := range ag.replay.buf {
+	for i := 0; i < ag.replay.Len(); i++ {
+		exp := ag.replay.at(i)
 		for _, mi := range exp.Minis {
 			dev, _ := ag.minis.Decode(mi)
 			if dev == 1 {

@@ -88,10 +88,14 @@ type replayJSON struct {
 // omitted rather than saved (Load would reject the length mismatch).
 func (r *Replay) Save(w io.Writer) error {
 	idx := r.idx
-	if len(idx) != len(r.buf) {
+	if len(idx) != len(r.slots) {
 		idx = nil
 	}
-	out := replayJSON{Cap: cap(r.buf), Next: r.next, Full: r.full, Buf: r.buf, Idx: idx}
+	buf := make([]Experience, len(r.slots))
+	for i := range buf {
+		r.load(i, &buf[i])
+	}
+	out := replayJSON{Cap: cap(r.slots), Next: r.next, Full: r.full, Buf: buf, Idx: idx}
 	if err := json.NewEncoder(w).Encode(out); err != nil {
 		return fmt.Errorf("rl: save replay: %w", err)
 	}
@@ -124,9 +128,10 @@ func (r *Replay) Load(rd io.Reader) error {
 			seen[v] = true
 		}
 	}
-	buf := make([]Experience, len(in.Buf), in.Cap)
-	copy(buf, in.Buf)
-	r.buf = buf
+	*r = Replay{slots: make([]slot, 0, in.Cap)}
+	for _, e := range in.Buf {
+		r.Add(e)
+	}
 	r.next = in.Next
 	r.full = in.Full
 	r.idx = in.Idx

@@ -309,7 +309,7 @@ func TestReplayBuffer(t *testing.T) {
 	if len(seen) != 3 {
 		t.Errorf("sample without replacement should cover all 3: %v", seen)
 	}
-	if NewReplay(0).buf == nil {
+	if cap(NewReplay(0).slots) != 1 {
 		t.Error("zero capacity should clamp to 1")
 	}
 }

@@ -263,7 +263,7 @@ func TestObserveClonesState(t *testing.T) {
 	minis := []int{1}
 	ag.Observe(Experience{S: s, Next: next, Minis: minis})
 	s[0], next[0], minis[0] = 9, 9, 9
-	got := ag.ReplayBuffer().buf[0]
+	got := ag.ReplayBuffer().at(0)
 	if got.S[0] == 9 || got.Next[0] == 9 || got.Minis[0] == 9 {
 		t.Errorf("Observe aliased caller buffers: %+v", got)
 	}

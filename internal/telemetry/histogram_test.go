@@ -10,7 +10,7 @@ import (
 // in a single bucket.
 
 func TestQuantileEmptyHistogram(t *testing.T) {
-	r := New(0)
+	r := New()
 	h := r.Histogram("h")
 	s := h.Stats()
 	if s.Count != 0 || s.P50Ns != 0 || s.P99Ns != 0 || len(s.Buckets) != 0 {
@@ -19,7 +19,7 @@ func TestQuantileEmptyHistogram(t *testing.T) {
 }
 
 func TestQuantileSingleObservation(t *testing.T) {
-	r := New(0)
+	r := New()
 	h := r.Histogram("h")
 	h.ObserveNs(12345)
 	s := h.Stats()
@@ -39,7 +39,7 @@ func TestQuantileSingleObservation(t *testing.T) {
 }
 
 func TestQuantileSinglePopulatedBucket(t *testing.T) {
-	r := New(0)
+	r := New()
 	h := r.Histogram("h")
 	// 1000 identical observations: one populated bucket; the p99 rank walk
 	// must stop inside it and clamp interpolation to the exact value.
@@ -76,7 +76,7 @@ func TestQuantileRankWalkDirect(t *testing.T) {
 // read order is safe, and every snapshot must be internally sane (ordered
 // quantiles within [min, max], count never behind an earlier snapshot).
 func TestConcurrentSnapshotDuringRecord(t *testing.T) {
-	r := New(0)
+	r := New()
 	h := r.Histogram("h")
 	var wg sync.WaitGroup
 	stop := make(chan struct{})
@@ -113,28 +113,4 @@ func TestConcurrentSnapshotDuringRecord(t *testing.T) {
 	}
 	close(stop)
 	wg.Wait()
-}
-
-func TestEventLogDroppedCounter(t *testing.T) {
-	l := NewEventLog(2)
-	l.Record("a", "", 0)
-	l.Record("b", "", 0)
-	if got := l.Dropped(); got != 0 {
-		t.Fatalf("dropped = %d before any overwrite", got)
-	}
-	l.Record("c", "", 0) // overwrites "a"
-	l.Record("d", "", 0) // overwrites "b"
-	if got := l.Dropped(); got != 2 {
-		t.Fatalf("dropped = %d, want 2", got)
-	}
-	// The registry surfaces the loss as a synthetic counter.
-	r := New(1)
-	if _, ok := r.Snapshot().Counters["telemetry.events.dropped"]; ok {
-		t.Fatal("synthetic counter present before any drop")
-	}
-	r.Event("x", "", 0)
-	r.Event("y", "", 0)
-	if got := r.Snapshot().Counters["telemetry.events.dropped"]; got != 1 {
-		t.Fatalf("snapshot dropped counter = %d, want 1", got)
-	}
 }

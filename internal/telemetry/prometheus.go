@@ -79,10 +79,6 @@ func (r *Registry) WritePrometheus(w io.Writer) error {
 			bw.WriteString(pn + c.promLabels + " " + strconv.FormatInt(c.v.Value(), 10) + "\n")
 		}
 	}
-	if d := r.events.Dropped(); d > 0 {
-		bw.WriteString("# TYPE telemetry_events_dropped counter\n")
-		bw.WriteString("telemetry_events_dropped " + strconv.FormatInt(d, 10) + "\n")
-	}
 	for _, name := range SortedNames(gauges) {
 		pn := head(name, "gauge")
 		bw.WriteString(pn + " " + formatFloat(sanitize(gauges[name].Value())) + "\n")

@@ -84,7 +84,7 @@ func parsePromLine(t *testing.T, line string) (name string, labels map[string]st
 }
 
 func TestPrometheusExpositionConformance(t *testing.T) {
-	r := New(8)
+	r := New()
 	r.Counter("plain.counter").Add(7)
 	r.SetHelp("plain.counter", "a help string with \\backslash\\ and\nnewline and \"quotes\"")
 	r.Gauge("some.gauge").Set(3.5)

@@ -7,7 +7,7 @@ import (
 )
 
 func TestWritePrometheusScalars(t *testing.T) {
-	r := New(0)
+	r := New()
 	r.Counter("jarvisd.requests.recommend").Add(7)
 	r.Gauge("rl.train.epsilon").Set(0.25)
 	var b strings.Builder
@@ -31,7 +31,7 @@ func TestWritePrometheusScalars(t *testing.T) {
 }
 
 func TestWritePrometheusHistogram(t *testing.T) {
-	r := New(0)
+	r := New()
 	h := r.Histogram("rl.update.latency")
 	// Two distinct buckets: 100ns x3 and ~1ms x2.
 	for i := 0; i < 3; i++ {
@@ -82,7 +82,7 @@ func TestWritePrometheusHistogram(t *testing.T) {
 }
 
 func TestWritePrometheusEmptyHistogram(t *testing.T) {
-	r := New(0)
+	r := New()
 	r.Histogram("empty.hist")
 	var b strings.Builder
 	if err := r.WritePrometheus(&b); err != nil {
@@ -111,18 +111,5 @@ func TestPromName(t *testing.T) {
 		if got := promName(in); got != want {
 			t.Errorf("promName(%q) = %q, want %q", in, got, want)
 		}
-	}
-}
-
-func TestWritePrometheusDroppedEvents(t *testing.T) {
-	r := New(1)
-	r.Event("a", "", 0)
-	r.Event("b", "", 0) // overwrites: one drop
-	var b strings.Builder
-	if err := r.WritePrometheus(&b); err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(b.String(), "telemetry_events_dropped 1\n") {
-		t.Fatalf("missing dropped-events counter:\n%s", b.String())
 	}
 }

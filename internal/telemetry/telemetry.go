@@ -1,8 +1,7 @@
 // Package telemetry is a dependency-free runtime metrics layer for the
 // Jarvis pipeline: atomic counters and gauges, bounded log-linear latency
-// histograms with quantile estimates, and a ring-buffered structured event
-// log, all collected behind a named registry that serializes to one JSON
-// snapshot.
+// histograms with quantile estimates, all collected behind a named
+// registry that serializes to one JSON snapshot.
 //
 // The package exists so the hot paths — the batched DQN update, the safety
 // policy check, the anomaly filter score, the daemon's request loop — can
@@ -81,11 +80,10 @@ type Snapshot struct {
 	Gauges     map[string]float64           `json:"gauges"`
 	Histograms map[string]HistogramStats    `json:"histograms"`
 	Infos      map[string]map[string]string `json:"infos,omitempty"`
-	Events     []Event                      `json:"events,omitempty"`
 }
 
-// Registry is a named collection of metrics plus one event log. The zero
-// value is not usable; call New.
+// Registry is a named collection of metrics. The zero value is not
+// usable; call New.
 type Registry struct {
 	enabled atomic.Bool
 
@@ -99,18 +97,10 @@ type Registry struct {
 	gvecs    map[string]*GaugeVec
 	hvecs    map[string]*HistogramVec
 	helps    map[string]string
-	events   *EventLog
 }
 
-// DefaultEventCapacity bounds the Default registry's event ring.
-const DefaultEventCapacity = 256
-
-// New returns an enabled registry with an event ring of the given
-// capacity (<= 0 uses DefaultEventCapacity).
-func New(eventCapacity int) *Registry {
-	if eventCapacity <= 0 {
-		eventCapacity = DefaultEventCapacity
-	}
+// New returns an enabled registry.
+func New() *Registry {
 	r := &Registry{
 		counters: make(map[string]*Counter),
 		gauges:   make(map[string]*Gauge),
@@ -121,7 +111,6 @@ func New(eventCapacity int) *Registry {
 		gvecs:    make(map[string]*GaugeVec),
 		hvecs:    make(map[string]*HistogramVec),
 		helps:    make(map[string]string),
-		events:   NewEventLog(eventCapacity),
 	}
 	r.enabled.Store(true)
 	return r
@@ -129,7 +118,7 @@ func New(eventCapacity int) *Registry {
 
 // Default is the process-wide registry every instrumented package resolves
 // its handles from.
-var Default = New(DefaultEventCapacity)
+var Default = New()
 
 // SetEnabled turns collection on or off. Disabled metrics keep their
 // accumulated values but ignore writes.
@@ -211,16 +200,6 @@ func (r *Registry) Histogram(name string) *Histogram {
 	return h
 }
 
-// Event appends a structured event to the registry's ring.
-func (r *Registry) Event(kind, detail string, value int64) {
-	if r.enabled.Load() {
-		r.events.Record(kind, detail, value)
-	}
-}
-
-// Events exposes the registry's event ring.
-func (r *Registry) Events() *EventLog { return r.events }
-
 // sanitize maps non-finite values to 0 so snapshots always marshal to JSON.
 func sanitize(v float64) float64 {
 	if math.IsNaN(v) || math.IsInf(v, 0) {
@@ -229,7 +208,7 @@ func sanitize(v float64) float64 {
 	return v
 }
 
-// Snapshot captures every metric's current value plus the buffered events.
+// Snapshot captures every metric's current value.
 func (r *Registry) Snapshot() Snapshot {
 	r.mu.Lock()
 	s := Snapshot{
@@ -237,16 +216,9 @@ func (r *Registry) Snapshot() Snapshot {
 		Counters:   make(map[string]int64, len(r.counters)),
 		Gauges:     make(map[string]float64, len(r.gauges)+len(r.gaugeFns)),
 		Histograms: make(map[string]HistogramStats, len(r.hists)),
-		Events:     r.events.Events(),
 	}
 	for name, c := range r.counters {
 		s.Counters[name] = c.Value()
-	}
-	// The event ring's loss accounting rides along as a synthetic counter so
-	// every consumer of the snapshot (JSON, Prometheus, jarvisctl stats) sees
-	// it without a dedicated field.
-	if d := r.events.Dropped(); d > 0 {
-		s.Counters["telemetry.events.dropped"] = d
 	}
 	for name, g := range r.gauges {
 		s.Gauges[name] = sanitize(g.Value())

@@ -9,7 +9,7 @@ import (
 )
 
 func TestCounterSemantics(t *testing.T) {
-	r := New(0)
+	r := New()
 	c := r.Counter("c")
 	c.Inc()
 	c.Add(4)
@@ -34,7 +34,7 @@ func TestCounterSemantics(t *testing.T) {
 }
 
 func TestGaugeSemantics(t *testing.T) {
-	r := New(0)
+	r := New()
 	g := r.Gauge("g")
 	g.Set(1.5)
 	g.Set(-2.5)
@@ -82,7 +82,7 @@ func TestBucketOfMonotoneAndBounded(t *testing.T) {
 }
 
 func TestHistogramStats(t *testing.T) {
-	r := New(0)
+	r := New()
 	h := r.Histogram("h")
 	if s := h.Stats(); s.Count != 0 {
 		t.Fatalf("empty histogram stats = %+v", s)
@@ -117,7 +117,7 @@ func TestHistogramStats(t *testing.T) {
 }
 
 func TestHistogramNegativeClampsAndDisabled(t *testing.T) {
-	r := New(0)
+	r := New()
 	h := r.Histogram("h")
 	h.ObserveNs(-5)
 	if s := h.Stats(); s.Count != 1 || s.MinNs != 0 || s.MaxNs != 0 {
@@ -137,35 +137,13 @@ func TestHistogramNegativeClampsAndDisabled(t *testing.T) {
 	}
 }
 
-func TestEventLogRing(t *testing.T) {
-	l := NewEventLog(3)
-	if l.Len() != 0 {
-		t.Fatal("fresh ring not empty")
-	}
-	l.Record("a", "", 1)
-	l.Record("b", "", 2)
-	if got := l.Events(); len(got) != 2 || got[0].Kind != "a" || got[1].Kind != "b" {
-		t.Fatalf("partial ring: %+v", got)
-	}
-	l.Record("c", "", 3)
-	l.Record("d", "", 4) // overwrites "a"
-	got := l.Events()
-	if len(got) != 3 || got[0].Kind != "b" || got[2].Kind != "d" {
-		t.Fatalf("wrapped ring: %+v", got)
-	}
-	if l.Len() != 3 {
-		t.Fatalf("Len = %d, want 3", l.Len())
-	}
-}
-
 func TestSnapshotJSONAndSanitize(t *testing.T) {
-	r := New(4)
+	r := New()
 	r.Counter("reqs").Add(3)
 	r.Gauge("eps").Set(0.5)
 	r.Gauge("bad").Set(math.NaN())
 	r.Gauge("inf").Set(math.Inf(1))
 	r.Histogram("lat").ObserveNs(1000)
-	r.Event("boot", "ok", 1)
 
 	s := r.Snapshot()
 	if s.Counters["reqs"] != 3 || s.Gauges["eps"] != 0.5 {
@@ -173,9 +151,6 @@ func TestSnapshotJSONAndSanitize(t *testing.T) {
 	}
 	if s.Gauges["bad"] != 0 || s.Gauges["inf"] != 0 {
 		t.Errorf("non-finite gauges not sanitized: %+v", s.Gauges)
-	}
-	if len(s.Events) != 1 || s.Events[0].Kind != "boot" {
-		t.Errorf("events: %+v", s.Events)
 	}
 	data, err := json.Marshal(s)
 	if err != nil {
@@ -201,7 +176,7 @@ func TestSortedNames(t *testing.T) {
 // TestHotPathAllocationFree is the package's core contract: Counter.Inc,
 // Gauge.Set and Histogram.ObserveNs allocate nothing, enabled or not.
 func TestHotPathAllocationFree(t *testing.T) {
-	r := New(0)
+	r := New()
 	c := r.Counter("c")
 	g := r.Gauge("g")
 	h := r.Histogram("h")
@@ -225,7 +200,7 @@ func TestHotPathAllocationFree(t *testing.T) {
 // TestConcurrentScrapeAndWrite runs writers against snapshotters; the race
 // detector proves the scrape-without-stopping contract.
 func TestConcurrentScrapeAndWrite(t *testing.T) {
-	r := New(16)
+	r := New()
 	var wg sync.WaitGroup
 	stop := make(chan struct{})
 	for i := 0; i < 4; i++ {
@@ -244,7 +219,6 @@ func TestConcurrentScrapeAndWrite(t *testing.T) {
 				c.Inc()
 				g.Set(float64(j))
 				h.ObserveNs(int64(j % 100000))
-				r.Event("tick", "loop", int64(j))
 			}
 		}()
 	}
@@ -266,7 +240,7 @@ func TestConcurrentScrapeAndWrite(t *testing.T) {
 }
 
 func BenchmarkCounterInc(b *testing.B) {
-	r := New(0)
+	r := New()
 	c := r.Counter("c")
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
@@ -275,7 +249,7 @@ func BenchmarkCounterInc(b *testing.B) {
 }
 
 func BenchmarkHistogramObserve(b *testing.B) {
-	r := New(0)
+	r := New()
 	h := r.Histogram("h")
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {

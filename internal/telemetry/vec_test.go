@@ -8,7 +8,7 @@ import (
 )
 
 func TestCounterVecBasics(t *testing.T) {
-	r := New(8)
+	r := New()
 	v := r.CounterVec("jarvisd.requests", "op")
 	v.With("recommend").Add(3)
 	v.With("state").Inc()
@@ -27,7 +27,7 @@ func TestCounterVecBasics(t *testing.T) {
 }
 
 func TestVecSameHandleOnRepeatResolve(t *testing.T) {
-	r := New(8)
+	r := New()
 	a := r.CounterVec("x", "k").With("v")
 	b := r.CounterVec("x", "k").With("v")
 	if a != b {
@@ -36,7 +36,7 @@ func TestVecSameHandleOnRepeatResolve(t *testing.T) {
 }
 
 func TestVecMultiLabelFlatName(t *testing.T) {
-	r := New(8)
+	r := New()
 	v := r.GaugeVec("replica.lag", "peer", "role")
 	v.With("10.0.0.2:7777", "follower").Set(12)
 	snap := r.Snapshot()
@@ -47,7 +47,7 @@ func TestVecMultiLabelFlatName(t *testing.T) {
 }
 
 func TestVecLabelValueEscaping(t *testing.T) {
-	r := New(8)
+	r := New()
 	v := r.CounterVec("weird", "k")
 	v.With("a\"b\\c\nd").Inc()
 	snap := r.Snapshot()
@@ -58,7 +58,7 @@ func TestVecLabelValueEscaping(t *testing.T) {
 }
 
 func TestVecCardinalityCap(t *testing.T) {
-	r := New(8)
+	r := New()
 	v := r.CounterVec("burst", "id")
 	v.SetCap(4)
 	ids := []string{"a", "b", "c", "d", "e", "f"}
@@ -87,7 +87,7 @@ func TestVecCardinalityCap(t *testing.T) {
 }
 
 func TestVecArityMismatchDrops(t *testing.T) {
-	r := New(8)
+	r := New()
 	v := r.CounterVec("pair", "a", "b")
 	v.With("only-one").Inc()
 	if got := r.LabelsDropped(); got != 1 {
@@ -99,7 +99,7 @@ func TestVecArityMismatchDrops(t *testing.T) {
 }
 
 func TestVecFirstRegistrationWins(t *testing.T) {
-	r := New(8)
+	r := New()
 	a := r.CounterVec("dup", "x")
 	b := r.CounterVec("dup", "y", "z")
 	if a != b {
@@ -114,7 +114,7 @@ func TestVecFirstRegistrationWins(t *testing.T) {
 }
 
 func TestVecHistogram(t *testing.T) {
-	r := New(8)
+	r := New()
 	v := r.HistogramVec("lat", "op")
 	h := v.With("recommend")
 	for i := 0; i < 100; i++ {
@@ -131,7 +131,7 @@ func TestVecHistogram(t *testing.T) {
 }
 
 func TestVecCachedChildWriteAllocs(t *testing.T) {
-	r := New(8)
+	r := New()
 	c := r.CounterVec("hot", "op").With("x")
 	g := r.GaugeVec("hotg", "op").With("x")
 	h := r.HistogramVec("hoth", "op").With("x")
@@ -145,7 +145,7 @@ func TestVecCachedChildWriteAllocs(t *testing.T) {
 }
 
 func TestVecSingleLabelHitPathAllocs(t *testing.T) {
-	r := New(8)
+	r := New()
 	v := r.CounterVec("hot", "op")
 	v.With("x").Inc() // intern outside the measured loop
 	vals := []string{"x"}
@@ -157,7 +157,7 @@ func TestVecSingleLabelHitPathAllocs(t *testing.T) {
 }
 
 func TestVecConcurrentIntern(t *testing.T) {
-	r := New(8)
+	r := New()
 	v := r.CounterVec("conc", "id")
 	v.SetCap(1024)
 	const goroutines = 8
@@ -190,7 +190,7 @@ func TestVecConcurrentIntern(t *testing.T) {
 }
 
 func TestVecDisabledRegistry(t *testing.T) {
-	r := New(8)
+	r := New()
 	c := r.CounterVec("off", "k").With("v")
 	r.SetEnabled(false)
 	c.Inc()
@@ -200,7 +200,7 @@ func TestVecDisabledRegistry(t *testing.T) {
 }
 
 func TestSeriesCount(t *testing.T) {
-	r := New(8)
+	r := New()
 	r.Counter("a")
 	r.Gauge("b")
 	r.Histogram("c")

@@ -11,7 +11,7 @@ import (
 // observations.
 
 func TestDeltaQuantileWindowsOutOldObservations(t *testing.T) {
-	r := New(0)
+	r := New()
 	h := r.Histogram("h")
 	// First epoch: fast observations around 1µs.
 	for i := 0; i < 100; i++ {
@@ -42,7 +42,7 @@ func TestDeltaQuantileWindowsOutOldObservations(t *testing.T) {
 }
 
 func TestDeltaQuantileZeroPrevIsFullHistogram(t *testing.T) {
-	r := New(0)
+	r := New()
 	h := r.Histogram("h")
 	for i := 1; i <= 100; i++ {
 		h.ObserveNs(int64(i) * 1000)
@@ -60,7 +60,7 @@ func TestDeltaQuantileZeroPrevIsFullHistogram(t *testing.T) {
 }
 
 func TestDeltaQuantileEmptyWindow(t *testing.T) {
-	r := New(0)
+	r := New()
 	h := r.Histogram("h")
 	h.ObserveNs(5000)
 	s := h.Stats()
@@ -73,7 +73,7 @@ func TestDeltaQuantileEmptyWindow(t *testing.T) {
 }
 
 func TestDeltaCountOverSplitsGoodBad(t *testing.T) {
-	r := New(0)
+	r := New()
 	h := r.Histogram("h")
 	prev := h.Stats()
 	for i := 0; i < 90; i++ {
@@ -106,7 +106,7 @@ func TestDeltaClampsCounterReset(t *testing.T) {
 }
 
 func TestGaugeFuncAppearsInSnapshotAndProm(t *testing.T) {
-	r := New(0)
+	r := New()
 	r.GaugeFunc("test.fn", func() float64 { return 42.5 })
 	snap := r.Snapshot()
 	if v := snap.Gauges["test.fn"]; v != 42.5 {
@@ -124,7 +124,7 @@ func TestGaugeFuncAppearsInSnapshotAndProm(t *testing.T) {
 func TestGaugeFuncMayTouchRegistry(t *testing.T) {
 	// The callback contract allows reading the registry; a deadlock here
 	// hangs the test and fails on timeout.
-	r := New(0)
+	r := New()
 	c := r.Counter("base")
 	c.Add(7)
 	r.GaugeFunc("derived", func() float64 { return float64(r.Counter("base").Value()) * 2 })
@@ -134,7 +134,7 @@ func TestGaugeFuncMayTouchRegistry(t *testing.T) {
 }
 
 func TestSetInfoRendersLabels(t *testing.T) {
-	r := New(0)
+	r := New()
 	r.SetInfo("build.info", map[string]string{"version": `v1.0"q\e`, "goversion": "go1.x"})
 	snap := r.Snapshot()
 	if snap.Infos["build.info"]["goversion"] != "go1.x" {

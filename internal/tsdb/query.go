@@ -17,9 +17,15 @@ import (
 // That prev fallback is deliberate: during warm-up, when history is
 // shorter than the window, the window starts at the first point, and the
 // SLO tracker (health.Tracker, which scores Window) and a range query
-// over the same span resolve the same edges. Counter deltas clamp at zero
-// so a daemon restart (counter reset) reads as a quiet window, not a
-// negative rate.
+// over the same span resolve the same edges.
+//
+// A counter's change across the window is its increase, as Prometheus'
+// increase() computes it: the sum of the steps between consecutive
+// points, where a step that drops is a counter reset (the daemon
+// restarted) and the value after it counts from zero. A restart inside
+// the window therefore neither reads as a negative rate nor hides the
+// restarted process's counts behind the old process's higher edge.
+// Histogram buckets follow the same rule, bucket by bucket.
 
 // Sample is one scalar observation of a series.
 type Sample struct {
@@ -78,16 +84,40 @@ func (db *DB) Window(span time.Duration) (prev, cur Point, n int) {
 	return db.points[i], cur, len(db.points) - i
 }
 
-// edges resolves the window's (prev, cur) pair.
-func (db *DB) edges(fromNs, toNs int64) (prev, cur Point, ok bool) {
-	db.mu.Lock()
-	defer db.mu.Unlock()
-	cur, ok = db.edgeBeforeLocked(toNs)
-	if !ok {
-		return Point{}, Point{}, false
+// spanLocked returns the window's points, oldest first: the prev edge
+// through the cur edge (just cur when prev would follow it). ok is false
+// when the store is empty. The caller holds db.mu and must not keep the
+// slice past it.
+func (db *DB) spanLocked(fromNs, toNs int64) (pts []Point, ok bool) {
+	if len(db.points) == 0 {
+		return nil, false
 	}
-	prev, _ = db.edgeBeforeLocked(fromNs)
-	return prev, cur, true
+	j := db.edgeIndexLocked(toNs)
+	i := min(db.edgeIndexLocked(fromNs), j)
+	return db.points[i : j+1], true
+}
+
+// step is one increase step from prev to cur: a drop is a reset, after
+// which cur counts from zero.
+func step[T int64 | float64](prev, cur T) T {
+	if cur < prev {
+		return cur
+	}
+	return cur - prev
+}
+
+// increase sums a counter series' steps across pts; a point without the
+// series reads 0.
+func increase(pts []Point, name string) float64 {
+	var sum, last float64
+	for i, p := range pts {
+		v, _, _ := lookupScalar(p, name)
+		if i > 0 {
+			sum += step(last, v)
+		}
+		last = v
+	}
+	return sum
 }
 
 // lookupScalar finds a series by name in a point: counters first, then
@@ -106,61 +136,100 @@ func lookupScalar(p Point, name string) (v float64, isCounter, ok bool) {
 	return 0, false, false
 }
 
-// Delta returns the change in a series across the window: cur − prev,
-// clamped at zero for counters (a reset reads as zero, matching the SLO
-// tracker), signed for gauges. ok is false when the series is absent
-// from the window's cur edge or the store is empty.
+// Delta returns the change in a series across the window: the increase
+// for counters (histogram series count their observations), cur − prev
+// for gauges. ok is false when the series is absent from the window's
+// cur edge or the store is empty.
 func (db *DB) Delta(name string, fromNs, toNs int64) (float64, bool) {
-	prev, cur, ok := db.edges(fromNs, toNs)
+	db.mu.Lock()
+	defer db.mu.Unlock()
+	pts, ok := db.spanLocked(fromNs, toNs)
 	if !ok {
 		return 0, false
 	}
-	cv, counter, ok := lookupScalar(cur, name)
+	cv, counter, ok := lookupScalar(pts[len(pts)-1], name)
 	if !ok {
 		return 0, false
 	}
-	pv, _, _ := lookupScalar(prev, name) // absent from prev → 0 baseline
-	d := cv - pv
-	if counter && d < 0 {
-		d = 0
+	if counter {
+		return increase(pts, name), true
 	}
-	return d, true
+	pv, _, _ := lookupScalar(pts[0], name) // absent from prev → 0 baseline
+	return cv - pv, true
 }
 
 // Rate returns a counter series' per-second increase across the window.
 // Gauge series have no rate; ok is false for them, for unknown series,
 // and for windows narrower than one sample interval.
 func (db *DB) Rate(name string, fromNs, toNs int64) (float64, bool) {
-	prev, cur, ok := db.edges(fromNs, toNs)
-	if !ok || cur.TsNs == prev.TsNs {
+	db.mu.Lock()
+	defer db.mu.Unlock()
+	pts, ok := db.spanLocked(fromNs, toNs)
+	if !ok {
 		return 0, false
 	}
-	cv, counter, ok := lookupScalar(cur, name)
-	if !ok || !counter {
+	prev, cur := pts[0], pts[len(pts)-1]
+	if cur.TsNs == prev.TsNs {
 		return 0, false
 	}
-	pv, _, _ := lookupScalar(prev, name)
-	d := cv - pv
-	if d < 0 {
-		d = 0
+	if _, counter, ok := lookupScalar(cur, name); !ok || !counter {
+		return 0, false
 	}
-	return d / (float64(cur.TsNs-prev.TsNs) / 1e9), true
+	return increase(pts, name) / (float64(cur.TsNs-prev.TsNs) / 1e9), true
+}
+
+// HistogramDelta returns the observations a histogram series recorded
+// across the window, as a histogram holding only Count and Buckets: each
+// bucket's increase over the window's points. ok is false for unknown
+// series and an empty store.
+func (db *DB) HistogramDelta(name string, fromNs, toNs int64) (telemetry.HistogramStats, bool) {
+	db.mu.Lock()
+	defer db.mu.Unlock()
+	pts, ok := db.spanLocked(fromNs, toNs)
+	if !ok {
+		return telemetry.HistogramStats{}, false
+	}
+	if _, ok := pts[len(pts)-1].Histograms[name]; !ok {
+		return telemetry.HistogramStats{}, false
+	}
+	counts := make(map[int64]telemetry.BucketCount)
+	for i := 1; i < len(pts); i++ {
+		prev, k := pts[i-1].Histograms[name].Buckets, 0
+		for _, b := range pts[i].Histograms[name].Buckets {
+			// Both bucket lists ascend by LowNs.
+			for k < len(prev) && prev[k].LowNs < b.LowNs {
+				k++
+			}
+			var old int64
+			if k < len(prev) && prev[k].LowNs == b.LowNs {
+				old = prev[k].Count
+			}
+			if d := step(old, b.Count); d > 0 {
+				acc := counts[b.LowNs]
+				acc.LowNs, acc.WidthNs, acc.Count = b.LowNs, b.WidthNs, acc.Count+d
+				counts[b.LowNs] = acc
+			}
+		}
+	}
+	var h telemetry.HistogramStats
+	for _, b := range counts {
+		h.Buckets = append(h.Buckets, b)
+		h.Count += b.Count
+	}
+	sort.Slice(h.Buckets, func(i, j int) bool { return h.Buckets[i].LowNs < h.Buckets[j].LowNs })
+	return h, true
 }
 
 // QuantileOverTime estimates the q-quantile of a histogram series'
-// observations recorded inside the window, by windowed bucket
-// subtraction (telemetry.DeltaQuantile). ok is false for unknown series
-// and empty windows.
+// observations recorded inside the window (HistogramDelta), by the rank
+// walk of telemetry.DeltaQuantile. ok is false for unknown series and
+// empty windows.
 func (db *DB) QuantileOverTime(name string, q float64, fromNs, toNs int64) (ns int64, ok bool) {
-	prev, cur, ok := db.edges(fromNs, toNs)
+	h, ok := db.HistogramDelta(name, fromNs, toNs)
 	if !ok {
 		return 0, false
 	}
-	ch, ok := cur.Histograms[name]
-	if !ok {
-		return 0, false
-	}
-	return telemetry.DeltaQuantile(ch, prev.Histograms[name], q)
+	return telemetry.DeltaQuantile(h, telemetry.HistogramStats{}, q)
 }
 
 // Series returns one sample per retained point inside [fromNs, toNs] for

@@ -36,7 +36,7 @@ func histStats(obs ...time.Duration) telemetry.HistogramStats {
 // newTestHistogram adapts telemetry's constructor (unexported there) via
 // a registry.
 func newTestHistogram(_ *atomic.Bool) *telemetry.Histogram {
-	return telemetry.New(1).Histogram("h")
+	return telemetry.New().Histogram("h")
 }
 
 func TestEncodeDecodeRoundTrip(t *testing.T) {
@@ -413,7 +413,9 @@ func TestRateDeltaQueries(t *testing.T) {
 	}
 }
 
-func TestCounterResetClampsQueries(t *testing.T) {
+// TestCounterResetCountsFromZero: a counter that drops was reset (the
+// daemon restarted), so its new value is the restarted process's count.
+func TestCounterResetCountsFromZero(t *testing.T) {
 	dir := t.TempDir()
 	db, err := Open(dir, Options{})
 	if err != nil {
@@ -423,11 +425,47 @@ func TestCounterResetClampsQueries(t *testing.T) {
 	sec := int64(time.Second)
 	db.Append(mkPoint(1*sec, map[string]int64{"c": 500}, nil))
 	db.Append(mkPoint(2*sec, map[string]int64{"c": 3}, nil)) // daemon restarted
-	if v, ok := db.Delta("c", 0, 3*sec); !ok || v != 0 {
-		t.Fatalf("Delta across reset = %v ok=%v, want 0", v, ok)
+	if v, ok := db.Delta("c", 0, 3*sec); !ok || v != 3 {
+		t.Fatalf("Delta across reset = %v ok=%v, want 3", v, ok)
 	}
-	if v, ok := db.Rate("c", 0, 3*sec); !ok || v != 0 {
-		t.Fatalf("Rate across reset = %v ok=%v, want 0", v, ok)
+	if v, ok := db.Rate("c", 0, 3*sec); !ok || v != 3 {
+		t.Fatalf("Rate across reset = %v ok=%v, want 3/s", v, ok)
+	}
+}
+
+// TestIncreaseAcrossRestart: 90 and 100 from one process, then 16 and 19
+// from its restarted successor, increase by 10 + 16 + 3 = 29 — for a
+// counter and for a histogram bucket alike — where the window's edges
+// alone (19 − 90) would read 0.
+func TestIncreaseAcrossRestart(t *testing.T) {
+	db, err := Open("", Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	minute := int64(time.Minute)
+	bucket := histStats(time.Millisecond).Buckets[0]
+	for i, v := range []int64{90, 100, 16, 19} {
+		p := mkPoint(int64(i)*minute, map[string]int64{"c": v}, nil)
+		b := bucket
+		b.Count = v
+		p.Histograms["lat"] = telemetry.HistogramStats{Count: v, Buckets: []telemetry.BucketCount{b}}
+		if err := db.Append(p); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if v, ok := db.Delta("c", 0, 3*minute); !ok || v != 29 {
+		t.Fatalf("Delta = %v ok=%v, want 29", v, ok)
+	}
+	if v, ok := db.Rate("c", 0, 3*minute); !ok || v != 29.0/180 {
+		t.Fatalf("Rate = %v ok=%v, want 29 per 3m", v, ok)
+	}
+	h, ok := db.HistogramDelta("lat", 0, 3*minute)
+	if !ok || h.Count != 29 || len(h.Buckets) != 1 || h.Buckets[0].Count != 29 || h.Buckets[0].LowNs != bucket.LowNs {
+		t.Fatalf("HistogramDelta = %+v ok=%v, want 29 observations in bucket %d", h, ok, bucket.LowNs)
+	}
+	// A window from the second point on starts at 100: 16 + 3.
+	if v, _ := db.Delta("c", minute, 3*minute); v != 19 {
+		t.Fatalf("Delta from the second point = %v, want 19", v)
 	}
 }
 
@@ -440,7 +478,7 @@ func TestQuantileOverTime(t *testing.T) {
 	defer db.Close()
 	sec := int64(time.Second)
 
-	reg := telemetry.New(1)
+	reg := telemetry.New()
 	h := reg.Histogram("lat")
 	add := func(ts int64) {
 		p := mkPoint(ts, nil, nil)
@@ -487,7 +525,7 @@ func TestSeriesSamplesAndNames(t *testing.T) {
 	}
 	defer db.Close()
 	sec := int64(time.Second)
-	reg := telemetry.New(1)
+	reg := telemetry.New()
 	h := reg.Histogram("lat")
 	for i := int64(1); i <= 5; i++ {
 		h.Observe(time.Duration(i) * time.Millisecond)
@@ -516,7 +554,7 @@ func TestSeriesSamplesAndNames(t *testing.T) {
 }
 
 func TestFromSnapshotCarriesLabeledSeries(t *testing.T) {
-	reg := telemetry.New(1)
+	reg := telemetry.New()
 	reg.CounterVec("req", "op").With("recommend").Add(5)
 	p := FromSnapshot(reg.Snapshot())
 	if p.Counters[`req{op="recommend"}`] != 5 {

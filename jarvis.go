@@ -416,8 +416,8 @@ func (s *System) RecommendDecision(state env.State, t int) (Decision, error) {
 // under sp; nil span = RecommendDecision.
 //
 // When a compiled policy is enabled and clean, unsampled requests (nil
-// span) are served straight from the table: one state-key encode and
-// three bounds-checked array loads, zero allocations. Sampled requests
+// span) are served straight from the table: one state-key encode and a
+// few bounds-checked array loads, zero allocations. Sampled requests
 // take the agent path so traces keep covering the full selection
 // pipeline — the decisions are bit-identical either way, which the golden
 // tests pin.
