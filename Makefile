@@ -29,9 +29,12 @@ race-core:
 
 # The crash-recovery drill: SIGKILL a real daemon mid-online-training,
 # boot a successor on its checkpoint + WAL, and require the recovered
-# training state to match a never-crashed control byte for byte.
+# training state to match a never-crashed control byte for byte; a daemon
+# restarted on its -tsdb directory must serve the previous process's
+# metric history and extend it, and a -tsdb naming the -wal directory must
+# keep the history in memory and leave the journal replaying intact.
 crash:
-	$(GO) test -run 'TestCrashRecoverySIGKILL|TestWALReplay|TestWALTornTail' -count=1 -v ./cmd/jarvisd/
+	$(GO) test -run 'TestCrashRecoverySIGKILL|TestWALReplay|TestWALTornTail|TestTSDBRestartServesHistory|TestTSDBInWALDirStaysInMemory' -count=1 -v ./cmd/jarvisd/
 
 # The failover drill: SIGKILL a real primary mid-load while a hot standby
 # streams its WAL, require the standby to promote itself within a bounded

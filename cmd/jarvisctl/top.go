@@ -20,9 +20,8 @@ import (
 // `-once -format json` emits a single machine-readable report instead,
 // which is what the `make top` smoke probe scripts against.
 //
-// The tsdb queries degrade gracefully: a daemon with alerting off keeps
-// no metric history, so it still gets a row (role, lag) with dashes for
-// rate and sparkline.
+// The tsdb queries degrade gracefully: a daemon whose range query fails
+// still gets a row (role, lag) with dashes for rate and sparkline.
 
 // topRateSeries is the labeled series the throughput column reads. Flat
 // snapshot names address vec children, so the fleet view exercises the

@@ -315,20 +315,14 @@ func (s *server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	h.Replication = s.replicationHealth()
 	h.TelemetrySeries = telemetry.Default.SeriesCount()
 	h.TelemetryLabelsDropped = telemetry.Default.LabelsDropped()
-	if s.ts != nil {
-		st := s.ts.Stats()
-		h.TSDB = &st
-	}
+	st := s.ts.Stats()
+	h.TSDB = &st
 	h.TracesSampled = s.tracer.Ring().Len()
-	if s.health != nil {
-		h.AlertsFiring = s.health.Active()
-	}
-	if s.slo != nil {
-		rep := s.slo.Report()
-		h.SLOBurn = make(map[string]float64, len(rep.Objectives))
-		for _, o := range rep.Objectives {
-			h.SLOBurn[o.Name] = o.BurnRate
-		}
+	h.AlertsFiring = s.health.Active()
+	rep := s.slo.Report()
+	h.SLOBurn = make(map[string]float64, len(rep.Objectives))
+	for _, o := range rep.Objectives {
+		h.SLOBurn[o.Name] = o.BurnRate
 	}
 	if s.shadow != nil {
 		h.Shadow = s.shadow.Last()

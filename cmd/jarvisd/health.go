@@ -20,7 +20,7 @@ import (
 //
 //   - the health tick (TSInterval) snapshots telemetry, appends the
 //     snapshot to the metric history, re-scores the SLO tracker over that
-//     history, and evaluates the alert rules;
+//     history, and evaluates the alert rules against it;
 //   - the shadow evaluator runs every ShadowEvery online learn steps:
 //     the learn path captures the live Q under the state lock (cheap
 //     serialization), then a goroutine replays the WAL window through
@@ -92,8 +92,8 @@ func defaultObjectives() []health.Objective {
 	}
 }
 
-// initHealth wires the health subsystem onto the server: alert engine,
-// metric history, SLO tracker, shadow evaluator, and the health tick.
+// initHealth wires the health subsystem onto the server: metric history,
+// alert engine, SLO tracker, shadow evaluator, and the health tick.
 // Called at the end of newServer, after every startup mutation has
 // landed.
 func (s *server) initHealth() error {
@@ -106,20 +106,24 @@ func (s *server) initHealth() error {
 		return float64(tracer.Ring().Len())
 	})
 
-	if s.cfg.AlertingOff {
-		return nil
-	}
+	// The baseline point carries everything boot counted (restored
+	// counters, the replayed WAL), so the first SLO window and the first
+	// alert deltas start when serving starts: boot replay never reads as
+	// burn, and whatever is counted after it counts from the first tick.
+	s.ts = s.openHistory()
+	s.appendPoint()
 	rules := s.cfg.AlertRules
 	if rules == nil {
 		rules = health.DefaultRules()
 	}
-	eng, err := health.NewEngine(health.EngineConfig{
+	eng, err := health.NewEngine(s.ts, health.EngineConfig{
 		Rules:    rules,
 		LogPath:  s.cfg.AlertLogPath,
 		OnFiring: s.onAlertFiring,
 		Logf:     s.cfg.Logf,
 	})
 	if err != nil {
+		s.ts.Close()
 		return err
 	}
 	s.health = eng
@@ -136,7 +140,6 @@ func (s *server) initHealth() error {
 			Budget: 256,
 		})
 	}
-	s.ts = s.openHistory()
 	tr, err := health.NewTracker(s.ts, s.cfg.SLOWindow, objectives, telemetry.Default)
 	if err != nil {
 		eng.Close()
@@ -161,10 +164,6 @@ func (s *server) initHealth() error {
 		})
 	}
 
-	// The baseline point carries everything boot counted (restored
-	// counters, the replayed WAL), so the first SLO window starts when
-	// serving starts and boot replay never reads as burn.
-	s.appendPoint()
 	s.wg.Add(1)
 	go s.healthLoop()
 	return nil
@@ -182,21 +181,18 @@ func (s *server) healthLoop() {
 		case <-s.stop:
 			return
 		case <-t.C:
-			snap := s.appendPoint()
+			s.appendPoint()
 			s.slo.Publish()
-			s.health.Evaluate(snap)
+			s.health.Evaluate()
 		}
 	}
 }
 
-// appendPoint snapshots the registry into the metric history and returns
-// the snapshot.
-func (s *server) appendPoint() telemetry.Snapshot {
-	snap := telemetry.Default.Snapshot()
-	if err := s.ts.Append(tsdb.FromSnapshot(snap)); err != nil {
+// appendPoint snapshots the registry into the metric history.
+func (s *server) appendPoint() {
+	if err := s.ts.Append(tsdb.FromSnapshot(telemetry.Default.Snapshot())); err != nil {
 		s.cfg.Logf("jarvisd: tsdb append: %v", err)
 	}
-	return snap
 }
 
 // onAlertFiring runs on each alert's firing edge (outside the engine
@@ -251,11 +247,6 @@ type alertsDocument struct {
 // ?rules=1) the active rule set.
 func (s *server) handleAlerts(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("Content-Type", "application/json")
-	if s.health == nil {
-		w.WriteHeader(http.StatusNotFound)
-		json.NewEncoder(w).Encode(map[string]string{"error": "alerting disabled"})
-		return
-	}
 	doc := alertsDocument{
 		Stats:   s.health.Stats(),
 		Firing:  s.health.Active(),
@@ -277,11 +268,6 @@ func (s *server) handleAlerts(w http.ResponseWriter, r *http.Request) {
 // handleSLO serves the SLO tracker's windowed report.
 func (s *server) handleSLO(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("Content-Type", "application/json")
-	if s.slo == nil {
-		w.WriteHeader(http.StatusNotFound)
-		json.NewEncoder(w).Encode(map[string]string{"error": "alerting disabled"})
-		return
-	}
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", "  ")
 	if err := enc.Encode(s.slo.Report()); err != nil {

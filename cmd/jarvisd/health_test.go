@@ -342,18 +342,33 @@ func TestReplicationLagAlertSmoke(t *testing.T) {
 	assertLoggedLifecycle(t, logPath, rule)
 }
 
-// TestAlertsDisabled: with alerting off, the endpoints 404 and the request
-// path never consults the engine.
+// TestAlertsDisabled: an empty rule set (-alert-rules none) evaluates
+// no rules, while the health tick still appends the metric history and
+// scores the SLOs, and every health endpoint answers from them.
 func TestAlertsDisabled(t *testing.T) {
 	srv := startDebugTestServer(t, serverConfig{
-		Seed: 1, LearningDays: 2, Episodes: 2, AlertingOff: true,
+		Seed: 1, LearningDays: 2, Episodes: 2,
+		TSInterval: 20 * time.Millisecond,
+		AlertRules: []health.Rule{},
 	})
-	for _, path := range []string{"/debug/alerts", "/debug/slo", "/debug/tsdb"} {
-		if code, _ := httpGet(t, srv, path); code != http.StatusNotFound {
-			t.Errorf("%s status = %d with alerting off, want 404", path, code)
-		}
+	waitUntil(t, 10*time.Second, "two health ticks", func() bool {
+		return getAlerts(t, srv).Stats.Evaluations >= 2
+	})
+	if doc := getAlerts(t, srv); doc.Stats.Rules != 0 || len(doc.Firing) != 0 {
+		t.Errorf("/debug/alerts with no rules = %+v, want no rules and nothing firing", doc.Stats)
 	}
-	code, body := httpGet(t, srv, "/healthz")
+	if rep := getSLO(t, srv); rep.Samples < 2 || len(rep.Objectives) == 0 {
+		t.Errorf("/debug/slo = %+v, want objectives scored over >= 2 samples", rep)
+	}
+	code, body := httpGet(t, srv, "/debug/tsdb")
+	if code != http.StatusOK {
+		t.Fatalf("/debug/tsdb without -tsdb: status %d: %s", code, body)
+	}
+	var idx tsdbIndex
+	if err := json.Unmarshal(body, &idx); err != nil || idx.Stats.Points < 2 || idx.Stats.Segments != 0 {
+		t.Errorf("/debug/tsdb index = %+v (err %v), want >= 2 points kept in memory", idx.Stats, err)
+	}
+	code, body = httpGet(t, srv, "/healthz")
 	if code != http.StatusOK {
 		t.Fatalf("/healthz status = %d: %s", code, body)
 	}
@@ -361,8 +376,8 @@ func TestAlertsDisabled(t *testing.T) {
 	if err := json.Unmarshal(body, &h); err != nil {
 		t.Fatalf("/healthz is not valid JSON: %v", err)
 	}
-	if h.AlertsFiring != nil || h.SLOBurn != nil || h.Shadow != nil || h.TSDB != nil {
-		t.Errorf("/healthz carries health-subsystem fields with alerting off: %+v", h)
+	if h.TSDB == nil || len(h.SLOBurn) == 0 || len(h.AlertsFiring) != 0 {
+		t.Errorf("/healthz with no rules: tsdb %+v, sloBurn %v, firing %v", h.TSDB, h.SLOBurn, h.AlertsFiring)
 	}
 }
 

@@ -89,7 +89,7 @@ func run(args []string) error {
 	traceSample := fs.Int("trace-sample", 0, "trace one in every N requests through the pipeline (1 = every request, 0 = disabled)")
 	traceRing := fs.Int("trace-ring", 0, "completed traces retained for /debug/traces (0 = default)")
 	anomalyFilter := fs.Bool("anomaly-filter", false, "train the benign-anomaly ANN and score every recommendation through it")
-	alertRules := fs.String("alert-rules", "", "alert rules file (JSON; empty = built-in defaults, \"none\" = disable alerting)")
+	alertRules := fs.String("alert-rules", "", "alert rules file (JSON; empty = built-in defaults, \"none\" = no rules)")
 	alertLog := fs.String("alert-log", "", "append one JSON line per alert firing/resolved transition to this file (empty = disabled)")
 	sloWindow := fs.Duration("slo-window", 10*time.Minute, "rolling window for SLO error-budget burn rates")
 	tsdbDir := fs.String("tsdb", "", "persist the metric history to DIR (empty = memory only)")
@@ -113,13 +113,12 @@ func run(args []string) error {
 	default:
 		return fmt.Errorf("unknown -wal-sync %q (want record, interval, or rotate)", *walSync)
 	}
-	var alertingOff bool
 	var rules []health.Rule
 	switch *alertRules {
 	case "":
 		// nil rules = built-in defaults.
 	case "none", "off":
-		alertingOff = true
+		rules = []health.Rule{}
 	default:
 		var err error
 		if rules, err = health.LoadRules(*alertRules); err != nil {
@@ -156,7 +155,6 @@ func run(args []string) error {
 		TraceSample:         *traceSample,
 		TraceRing:           *traceRing,
 		AlertRules:          rules,
-		AlertingOff:         alertingOff,
 		AlertLogPath:        *alertLog,
 		SLOWindow:           *sloWindow,
 		TSDBDir:             *tsdbDir,

@@ -135,12 +135,9 @@ type serverConfig struct {
 	// and, on sampled requests, in an anomaly.score span.
 	AnomalyFilter bool
 
-	// AlertRules is the alert engine's rule set (nil = health.DefaultRules;
-	// see the -alert-rules flag for loading a file). AlertingOff disables
-	// the whole health subsystem — engine, SLO tracker, and shadow
-	// evaluator.
-	AlertRules  []health.Rule
-	AlertingOff bool
+	// AlertRules is the alert engine's rule set (nil = health.DefaultRules,
+	// empty = no rules; see the -alert-rules flag for loading a file).
+	AlertRules []health.Rule
 	// AlertLogPath appends one JSON line per alert firing/resolved
 	// transition (empty = disabled).
 	AlertLogPath string
@@ -153,12 +150,12 @@ type serverConfig struct {
 	ShadowEvery int
 
 	// TSDBDir, when non-empty, persists the metric history in this
-	// directory (delta-encoded segments with WAL-style rotation and
-	// retention); empty keeps it in memory only. Either way the store
-	// mirrors one SLOWindow in memory, the SLO tracker scores its window
-	// from it, and /debug/tsdb serves range queries over it, so burn
-	// rates and range queries agree by construction. Unused under
-	// AlertingOff.
+	// directory (delta-encoded samples in a wal.Log of their own; a
+	// directory shared with WALDir keeps the history in memory); empty
+	// keeps it in memory only. Either way the store mirrors one SLOWindow
+	// in memory, the SLO tracker and the alert rules read it, and
+	// /debug/tsdb serves range queries over it, so burn rates and range
+	// queries agree by construction.
 	TSDBDir string
 	// TSInterval is the health tick (default 5s): each tick appends one
 	// telemetry snapshot to the metric history, re-scores the SLOs, and
@@ -305,8 +302,8 @@ type server struct {
 
 	// health/slo/shadow are the policy-health subsystem (health.go): the
 	// alert engine and SLO tracker run on the health tick; the shadow
-	// evaluator runs on the learn-step cadence. All nil when
-	// cfg.AlertingOff (shadow additionally needs WAL + checkpoint).
+	// evaluator runs on the learn-step cadence (nil without WAL +
+	// checkpoint).
 	health *health.Engine
 	slo    *health.Tracker
 	shadow *health.Shadow
@@ -317,9 +314,9 @@ type server struct {
 	mUnsafeByDevice []*telemetry.Counter
 
 	// ts is the daemon's metric history, on disk under cfg.TSDBDir or in
-	// memory (nil only when cfg.AlertingOff): the health tick appends one
-	// snapshot per TSInterval, the SLO tracker scores its window from it,
-	// and /debug/tsdb serves range queries over it.
+	// memory: the health tick appends one snapshot per TSInterval, the SLO
+	// tracker and the alert engine read it, and /debug/tsdb serves range
+	// queries over it.
 	ts *tsdb.DB
 
 	// tracer samples request traces (disabled, never nil, when
@@ -488,8 +485,8 @@ func newServer(cfg serverConfig) (*server, error) {
 			cfg.Logf("jarvisd: compiled policy unavailable (%v); serving via agent", err)
 		} else {
 			st := s.sys.CompiledPolicy().Stats()
-			cfg.Logf("jarvisd: compiled policy ready (%d entries, %d distinct decisions, built in %dms)",
-				st.Entries, st.PaletteSize, st.BuildMs)
+			cfg.Logf("jarvisd: compiled policy ready (%d entries, %d learned, built in %dms)",
+				st.Entries, st.Populated, st.BuildMs)
 		}
 	}
 
@@ -564,14 +561,12 @@ func (s *server) Close() error {
 	}
 	s.connMu.Unlock()
 	s.wg.Wait()
-	if s.health != nil {
-		// The health tick and any in-flight shadow run are drained by
-		// wg.Wait above, so closing the alert log here races nothing.
-		if herr := s.health.Close(); herr != nil {
-			s.cfg.Logf("jarvisd: alert log close failed: %v", herr)
-			if err == nil {
-				err = herr
-			}
+	// The health tick and any in-flight shadow run are drained by wg.Wait
+	// above, so closing the alert log here races nothing.
+	if herr := s.health.Close(); herr != nil {
+		s.cfg.Logf("jarvisd: alert log close failed: %v", herr)
+		if err == nil {
+			err = herr
 		}
 	}
 	if s.store != nil {
@@ -600,14 +595,12 @@ func (s *server) Close() error {
 			}
 		}
 	}
-	if s.ts != nil {
-		// The health tick is drained by wg.Wait above; Close syncs the
-		// active segment so the final interval survives a restart.
-		if terr := s.ts.Close(); terr != nil {
-			s.cfg.Logf("jarvisd: tsdb close failed: %v", terr)
-			if err == nil {
-				err = terr
-			}
+	// The health tick is drained by wg.Wait above; Close syncs the active
+	// segment so the final interval survives a restart.
+	if terr := s.ts.Close(); terr != nil {
+		s.cfg.Logf("jarvisd: tsdb close failed: %v", terr)
+		if err == nil {
+			err = terr
 		}
 	}
 	return err

@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"net/http"
+	"path/filepath"
 	"strconv"
 	"time"
 
@@ -21,11 +22,18 @@ import (
 // openHistory opens the metric history: on disk under -tsdb, else in
 // memory. The mirror keeps one SLO window either way. A directory that
 // cannot open falls back to memory rather than refusing to start —
-// metric history is derived data.
+// metric history is derived data. So does the journal's directory: both
+// logs name their segments NNNNNNNN.wal, so sharing it would interleave
+// samples with journal records and let the journal's checkpoint resets
+// delete the history.
 func (s *server) openHistory() *tsdb.DB {
 	opts := tsdb.Options{Window: s.cfg.SLOWindow}
 	reason := "no -tsdb directory"
-	if s.cfg.TSDBDir != "" {
+	switch {
+	case s.cfg.TSDBDir == "":
+	case sameDir(s.cfg.TSDBDir, s.cfg.WALDir):
+		reason = "-tsdb names the -wal directory, whose segments it would share"
+	default:
 		db, err := tsdb.Open(s.cfg.TSDBDir, opts)
 		if err == nil {
 			if rs := db.Recovery(); rs.TruncatedBytes > 0 {
@@ -38,6 +46,16 @@ func (s *server) openHistory() *tsdb.DB {
 	s.cfg.Logf("jarvisd: %s; metric history kept in memory", reason)
 	db, _ := tsdb.Open("", opts) // a memory-only store cannot fail to open
 	return db
+}
+
+// sameDir reports whether two directory flags name one directory.
+func sameDir(a, b string) bool {
+	if a == "" || b == "" {
+		return false
+	}
+	absA, errA := filepath.Abs(a)
+	absB, errB := filepath.Abs(b)
+	return errA == nil && errB == nil && absA == absB
 }
 
 // tsdbIndex is the parameterless /debug/tsdb body: store footprint plus
@@ -72,11 +90,6 @@ type tsdbQuery struct {
 // series=jarvisd.requests%7Bop%3D%22recommend%22%7D.
 func (s *server) handleTSDB(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("Content-Type", "application/json")
-	if s.ts == nil {
-		w.WriteHeader(http.StatusNotFound)
-		json.NewEncoder(w).Encode(map[string]string{"error": "alerting disabled"})
-		return
-	}
 	q := r.URL.Query()
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", "  ")

@@ -2,10 +2,13 @@ package main
 
 import (
 	"encoding/json"
+	"fmt"
 	"math"
 	"net/url"
 	"testing"
 	"time"
+
+	"jarvis/internal/health"
 )
 
 // TestTSDBEndpointAndSLOParity is the metric-history acceptance test, in
@@ -154,19 +157,95 @@ func checkTSDBParity(t *testing.T, srv *server, disk bool) {
 	}
 }
 
-// TestTSDBDisabledEndpoint: with no store (alerting off) the endpoint 404s
-// with a hint instead of panicking.
-func TestTSDBDisabledEndpoint(t *testing.T) {
-	srv := startDebugTestServer(t, serverConfig{Seed: 1, LearningDays: 2, Episodes: 2, AlertingOff: true})
-	if srv.ts != nil {
-		t.Fatal("a store opened with alerting off")
+// TestTSDBRestartServesHistory: a daemon restarted on the same -tsdb
+// directory serves the previous process's points from /debug/tsdb and
+// appends its own after them.
+func TestTSDBRestartServesHistory(t *testing.T) {
+	cfg := serverConfig{Seed: 1, LearningDays: 2, Episodes: 2, TSInterval: 20 * time.Millisecond, TSDBDir: t.TempDir()}
+	first, err := newServer(cfg)
+	if err != nil {
+		t.Fatalf("first: %v", err)
 	}
+	waitUntil(t, 10*time.Second, "three tsdb points", func() bool {
+		return first.ts.Stats().Points >= 3
+	})
+	if err := first.Close(); err != nil {
+		t.Fatal(err)
+	}
+	before := first.ts.Stats()
+
+	srv := startDebugTestServer(t, cfg)
+	if rec := srv.ts.Recovery(); rec.Points != before.Points {
+		t.Fatalf("restart recovered %d points, the previous process stored %d", rec.Points, before.Points)
+	}
+	waitUntil(t, 10*time.Second, "a tick after the restart", func() bool {
+		return srv.ts.Stats().Points >= before.Points+2
+	})
 	code, body := httpGet(t, srv, "/debug/tsdb")
-	if code != 404 {
-		t.Fatalf("/debug/tsdb without a store: status %d: %s", code, body)
+	if code != 200 {
+		t.Fatalf("/debug/tsdb status = %d: %s", code, body)
 	}
-	var doc map[string]string
-	if err := json.Unmarshal(body, &doc); err != nil || doc["error"] == "" {
-		t.Errorf("/debug/tsdb without a store: body %q carries no error hint", body)
+	var idx tsdbIndex
+	if err := json.Unmarshal(body, &idx); err != nil {
+		t.Fatalf("/debug/tsdb is not valid JSON: %v", err)
 	}
+	if idx.Stats.OldestNs != before.OldestNs || idx.Stats.NewestNs <= before.NewestNs || idx.Stats.Segments == 0 {
+		t.Fatalf("/debug/tsdb after restart = %+v, want the history from %d on disk, extended past %d",
+			idx.Stats, before.OldestNs, before.NewestNs)
+	}
+	code, body = httpGet(t, srv, fmt.Sprintf("/debug/tsdb?series=jarvisd.uptime.seconds&fn=raw&from=0&to=%d", idx.Stats.NewestNs))
+	var q tsdbQuery
+	if err := json.Unmarshal(body, &q); code != 200 || err != nil {
+		t.Fatalf("raw query: status %d, err %v: %s", code, err, body)
+	}
+	old := 0
+	for i, s := range q.Samples {
+		if i > 0 && s.TsNs <= q.Samples[i-1].TsNs {
+			t.Fatalf("samples out of order at %d: %+v", i, q.Samples)
+		}
+		if s.TsNs <= before.NewestNs {
+			old++
+		}
+	}
+	if old != before.Points || len(q.Samples) <= old {
+		t.Fatalf("raw query serves %d samples, %d of them from the previous process; want all %d of its points and newer ones",
+			len(q.Samples), old, before.Points)
+	}
+}
+
+// TestTSDBInWALDirStaysInMemory: with -tsdb naming the -wal directory,
+// the history stays in memory — both logs name their segments
+// NNNNNNNN.wal — and the journal still replays intact after a crash.
+func TestTSDBInWALDirStaysInMemory(t *testing.T) {
+	cfg := durableConfig(t.TempDir())
+	cfg.TSDBDir = cfg.WALDir
+	cfg.TSInterval = 20 * time.Millisecond
+	// No alert rules: the process-wide registry can still carry an earlier
+	// test's shadow gauges, and a rollback they fire restores Q from the
+	// checkpoint without journaling it, so the successor's replay could
+	// not land on the victim's state.
+	cfg.AlertRules = []health.Rule{}
+	victim, err := newServer(cfg)
+	if err != nil {
+		t.Fatalf("victim: %v", err)
+	}
+	for i := 0; i < 6; i++ {
+		feedEvents(t, victim, 8)
+		time.Sleep(cfg.TSInterval) // let ticks append points between the events
+	}
+	waitUntil(t, 10*time.Second, "ticks during the traffic", func() bool {
+		return victim.ts.Stats().Points >= 3
+	})
+	if st := victim.ts.Stats(); st.Segments != 0 || st.SizeBytes != 0 {
+		t.Fatalf("history in the WAL directory: %+v, want it in memory only", st)
+	}
+	want := learnState(t, victim)
+	// Crash: no Close, no final checkpoint, no WAL reset.
+
+	successor, err := newServer(cfg)
+	if err != nil {
+		t.Fatalf("successor: %v", err)
+	}
+	defer successor.Close()
+	assertSameLearnState(t, want, learnState(t, successor))
 }

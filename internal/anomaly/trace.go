@@ -18,15 +18,3 @@ func (f *Filter) ScoreTraced(sp *trace.Span, tr env.Transition) float64 {
 	}
 	return score
 }
-
-// ScoreBatchTraced is ScoreBatch under an "anomaly.score_batch" child span
-// annotated with the row count.
-func (f *Filter) ScoreBatchTraced(sp *trace.Span, dst []float64, trs []env.Transition) ([]float64, error) {
-	child := sp.Child("anomaly.score_batch")
-	out, err := f.ScoreBatch(dst, trs)
-	if child != nil {
-		child.AnnotateInt("rows", int64(len(trs)))
-		child.End()
-	}
-	return out, err
-}

@@ -157,7 +157,6 @@ type CacheStats struct {
 	Disabled    bool   `json:"disabled"`
 	Entries     int    `json:"entries"`
 	Populated   int    `json:"populated"`
-	PaletteSize int    `json:"palette"`
 	Buckets     int    `json:"buckets"`
 	Hits        uint64 `json:"hits"`
 	Misses      uint64 `json:"misses"`
@@ -186,7 +185,6 @@ func (c *Cache) Stats() CacheStats {
 		st.Ready = true
 		st.Entries = p.Entries()
 		st.Populated = p.Populated()
-		st.PaletteSize = p.PaletteSize()
 		st.Buckets = p.Buckets()
 		st.BuildMs = p.BuildTime().Milliseconds()
 	}

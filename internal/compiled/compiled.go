@@ -63,9 +63,9 @@ func (o Options) withDefaults() Options {
 	return o
 }
 
-// Decision is one precompiled serving decision. Action aliases a palette
-// entry shared by every lookup that deduplicates to it — callers must
-// treat it as read-only. Degraded marks entries whose composed action
+// Decision is one precompiled serving decision. Action aliases one copy
+// shared by every palette entry that composes the same action — callers
+// must treat it as read-only. Degraded marks entries whose composed action
 // failed the FSM transition check at compile time; they carry the safe
 // NoOp with value 0, exactly like the live fallback.
 type Decision struct {
@@ -75,9 +75,10 @@ type Decision struct {
 }
 
 // Policy is an immutable compiled policy table: a bitmap of the states
-// that own a row, rows of per-bucket palette indices, and the deduplicated
-// decision palette. Lookups are lock-free and allocation-free; a new table
-// is swapped in atomically by the Cache after each rebuild.
+// that own a row, rows of per-bucket palette indices, and the decision
+// palette — entry 0 the default, entry i+1 the i-th learned cell's.
+// Lookups are lock-free and allocation-free; a new table is swapped in
+// atomically by the Cache after each rebuild.
 type Policy struct {
 	e       *env.Environment
 	buckets int
@@ -129,9 +130,6 @@ func (p *Policy) Entries() int { return int(p.states) * p.buckets }
 // Populated returns how many cells hold a non-default decision.
 func (p *Policy) Populated() int { return p.populated }
 
-// PaletteSize returns the number of distinct decisions in the table.
-func (p *Policy) PaletteSize() int { return len(p.palette) }
-
 // Buckets returns the compiled time resolution (instances for per-minute
 // backends).
 func (p *Policy) Buckets() int { return p.buckets }
@@ -139,25 +137,17 @@ func (p *Policy) Buckets() int { return p.buckets }
 // BuildTime returns how long the compile took.
 func (p *Policy) BuildTime() time.Duration { return p.buildTime }
 
-// paletteKey identifies a decision for deduplication: the mixed-radix
-// action key, the exact value bits, and the degraded flag.
-type paletteKey struct {
-	act       uint64
-	valueBits uint64
-	degraded  bool
-}
-
 // compiler accumulates one table build. It evaluates every cell in reused
-// buffers, so a cell allocates only when its decision is a new palette
-// entry.
+// buffers, so a cell allocates only when its decision composes an action
+// no earlier palette entry holds.
 type compiler struct {
-	e     *env.Environment
-	a     *rl.Agent
-	p     *Policy
-	dedup map[paletteKey]uint32
+	e *env.Environment
+	a *rl.Agent
+	p *Policy
 	// actions holds one read-only copy of each distinct palette action,
 	// keyed by its action key: many decisions differ only in value.
 	actions map[uint64]env.Action
+	noopKey uint64 // the default decision's action key
 	// learned lists the non-default cells in evaluation order; the rows
 	// are laid out once the owners are known.
 	learned []learnedCell
@@ -167,11 +157,11 @@ type compiler struct {
 	err     error
 }
 
-// learnedCell is one cell holding a non-default decision.
+// learnedCell is one cell holding a non-default decision; the i-th owns
+// palette entry i+1.
 type learnedCell struct {
 	key    uint64
 	bucket int
-	pi     uint32
 }
 
 // Compile enumerates the state×time product and precomputes the greedy
@@ -210,7 +200,6 @@ func Compile(e *env.Environment, a *rl.Agent, instances int, opt Options) (*Poli
 	c := &compiler{
 		e: e, a: a,
 		p:       &Policy{e: e, buckets: buckets, n: n, states: states},
-		dedup:   make(map[paletteKey]uint32),
 		actions: make(map[uint64]env.Action),
 		state:   make(env.State, e.K()),
 		act:     make(env.Action, e.K()),
@@ -221,8 +210,8 @@ func Compile(e *env.Environment, a *rl.Agent, instances int, opt Options) (*Poli
 	// not degraded).
 	noop := Decision{Action: env.NoOp(e.K())}
 	c.p.palette = append(c.p.palette, noop)
-	c.dedup[c.key(noop)] = 0
-	c.actions[c.e.ActionKey(noop.Action)] = noop.Action
+	c.noopKey = c.e.ActionKey(noop.Action)
+	c.actions[c.noopKey] = noop.Action
 
 	if ri, ok := a.Q().(rl.RowIterator); ok {
 		ri.Rows(func(stateKey uint64, bucket int) {
@@ -261,8 +250,8 @@ func (c *compiler) layout() {
 		owners += uint32(bits.OnesCount64(m))
 	}
 	p.cells = make([]uint32, (uint64(owners)+1)*uint64(p.buckets))
-	for _, lc := range c.learned {
-		p.cells[p.row(lc.key)*uint64(p.buckets)+uint64(lc.bucket)] = lc.pi
+	for i, lc := range c.learned {
+		p.cells[p.row(lc.key)*uint64(p.buckets)+uint64(lc.bucket)] = uint32(i + 1)
 	}
 }
 
@@ -287,38 +276,21 @@ func (c *compiler) cell(stateKey uint64, bucket int) {
 	if !c.e.TransitionOK(c.next, s, act) {
 		d = Decision{Action: c.p.palette[0].Action, Degraded: true}
 	}
-	k := c.key(d)
-	pi, seen := c.dedup[k]
-	if !seen {
-		if len(c.p.palette) > math.MaxUint32 {
-			c.err = fmt.Errorf("compiled: palette overflow at %d decisions", len(c.p.palette))
-			return
-		}
-		pi = uint32(len(c.p.palette))
-		shared, ok := c.actions[k.act]
-		if !ok {
-			shared = d.Action.Clone()
-			c.actions[k.act] = shared
-		}
-		d.Action = shared
-		c.p.palette = append(c.p.palette, d)
-		c.dedup[k] = pi
-	}
-	if pi == 0 {
+	k := c.e.ActionKey(d.Action)
+	if k == c.noopKey && math.Float64bits(d.Value) == 0 && !d.Degraded {
 		return // every cell starts at the default
 	}
 	if len(c.learned) == math.MaxUint32 {
-		c.err = fmt.Errorf("compiled: row overflow at %d learned cells", len(c.learned))
+		c.err = fmt.Errorf("compiled: palette overflow at %d learned cells", len(c.learned))
 		return
 	}
-	c.p.populated++
-	c.learned = append(c.learned, learnedCell{key: stateKey, bucket: bucket, pi: pi})
-}
-
-func (c *compiler) key(d Decision) paletteKey {
-	return paletteKey{
-		act:       c.e.ActionKey(d.Action),
-		valueBits: math.Float64bits(d.Value),
-		degraded:  d.Degraded,
+	shared, ok := c.actions[k]
+	if !ok {
+		shared = d.Action.Clone()
+		c.actions[k] = shared
 	}
+	d.Action = shared
+	c.p.palette = append(c.p.palette, d)
+	c.p.populated++
+	c.learned = append(c.learned, learnedCell{key: stateKey, bucket: bucket})
 }

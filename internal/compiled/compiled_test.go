@@ -471,10 +471,10 @@ func TestLookupAllocationFree(t *testing.T) {
 // TestCompileFootprint compiles the daemon's default tabular full-home
 // policy (seed 1, 7 learning days, 60 episodes), where only a few hundred
 // of the 2.5M state×bucket cells hold a non-default decision. One compile
-// must allocate under 256 KiB in under 200 objects: the table is sized by
+// must allocate under 128 KiB in under 100 objects: the table is sized by
 // the states the agent learned, not by the product, its per-state index
-// is a bitmap, and evaluating a cell allocates only for a new palette
-// entry. Lookup must reproduce
+// is a bitmap, each learned cell owns one palette entry, and evaluating a
+// cell allocates only for an action no earlier entry holds. Lookup must reproduce
 // Agent.CompileDecision plus the FSM fallback bit for bit on every bucket
 // of every state with a Q row, and of a sample of the other states that
 // includes key 0 and the highest key.
@@ -500,12 +500,12 @@ func TestCompileFootprint(t *testing.T) {
 		t.Fatalf("Entries = %d, want %d states × %d buckets", p.Entries(), states, buckets)
 	}
 	alloc, objects := after.TotalAlloc-before.TotalAlloc, after.Mallocs-before.Mallocs
-	if alloc >= 256<<10 || objects >= 200 {
-		t.Fatalf("one Compile allocates %.1f KiB in %d objects (%d of %d cells populated), want < 256 KiB in < 200",
+	if alloc >= 128<<10 || objects >= 100 {
+		t.Fatalf("one Compile allocates %.1f KiB in %d objects (%d of %d cells populated), want < 128 KiB in < 100",
 			float64(alloc)/(1<<10), objects, p.Populated(), p.Entries())
 	}
-	t.Logf("one Compile allocates %.1f KiB in %d objects; %d of %d cells populated, palette %d",
-		float64(alloc)/(1<<10), objects, p.Populated(), p.Entries(), p.PaletteSize())
+	t.Logf("one Compile allocates %.1f KiB in %d objects; %d of %d cells populated",
+		float64(alloc)/(1<<10), objects, p.Populated(), p.Entries())
 
 	keys := map[uint64]bool{0: true, states - 1: true}
 	agent.Q().(rl.RowIterator).Rows(func(sk uint64, _ int) { keys[sk] = true })

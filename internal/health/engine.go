@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"jarvis/internal/telemetry"
+	"jarvis/internal/tsdb"
 )
 
 // Alert is one currently-firing rule.
@@ -67,16 +68,22 @@ type ruleState struct {
 	lastValue    float64
 }
 
-// Engine evaluates threshold rules against telemetry snapshots and owns
-// the alert lifecycle: fire after For consecutive breaches, dedup
+// Engine evaluates threshold rules over the daemon's metric history and
+// owns the alert lifecycle: fire after For consecutive breaches, dedup
 // repeated breaches into the existing alert, resolve after ClearFor
-// consecutive clean evaluations. Evaluate is driven by the daemon's
-// health tick; readers (debug endpoints, healthz) use Active, History,
-// and Stats concurrently.
+// consecutive clean evaluations. Each evaluation reads the store's newest
+// point; a delta rule reads the change since the point the previous
+// evaluation read — at construction, the store's newest — so whatever
+// was counted before the first evaluation still counts. Evaluate is
+// driven by the daemon's health tick; readers (debug endpoints, healthz)
+// use Active, History, and Stats concurrently.
 type Engine struct {
-	mu      sync.Mutex
-	rules   []*ruleState
-	prev    *telemetry.Snapshot
+	store *tsdb.DB
+
+	mu    sync.Mutex
+	rules []*ruleState
+	// lastNs stamps the point the previous evaluation read.
+	lastNs  int64
 	ring    []Transition
 	ringCap int
 	log     *os.File
@@ -94,9 +101,9 @@ type Engine struct {
 	cResolve *telemetry.Counter
 }
 
-// NewEngine builds an engine from validated rules. Metric handles are
-// resolved once here, never during Evaluate.
-func NewEngine(cfg EngineConfig) (*Engine, error) {
+// NewEngine builds an engine from validated rules over store. Metric
+// handles are resolved once here, never during Evaluate.
+func NewEngine(store *tsdb.DB, cfg EngineConfig) (*Engine, error) {
 	if cfg.Registry == nil {
 		cfg.Registry = telemetry.Default
 	}
@@ -107,6 +114,7 @@ func NewEngine(cfg EngineConfig) (*Engine, error) {
 		cfg.RingSize = 256
 	}
 	e := &Engine{
+		store:    store,
 		ringCap:  cfg.RingSize,
 		cfg:      cfg,
 		gFiring:  cfg.Registry.Gauge("health.alerts.firing"),
@@ -130,6 +138,9 @@ func NewEngine(cfg EngineConfig) (*Engine, error) {
 		}
 		e.log = f
 	}
+	if p, ok := store.Latest(); ok {
+		e.lastNs = p.TsNs
+	}
 	return e, nil
 }
 
@@ -139,57 +150,39 @@ func (e *Engine) logf(format string, args ...any) {
 	}
 }
 
-// read extracts the rule's value from the snapshot pair. ok is false when
-// the metric (or, for delta rules, the previous snapshot) is unavailable —
-// which the state machine treats as clean data for the breach streak.
-func (rs *ruleState) read(cur, prev *telemetry.Snapshot) (v float64, ok bool) {
-	r := rs.rule
-	if r.Quantile > 0 {
+// read extracts the rule's value at cur, a delta rule's across the
+// points since the previous evaluation's. ok is false when the metric is
+// unavailable — which the state machine treats as clean data for the
+// breach streak. Caller holds e.mu.
+func (e *Engine) read(r Rule, cur tsdb.Point) (v float64, ok bool) {
+	switch {
+	case r.Quantile > 0:
 		h, found := cur.Histograms[r.Metric]
+		if r.Delta {
+			h, found = e.store.HistogramDelta(r.Metric, e.lastNs, cur.TsNs)
+		}
 		if !found {
 			return 0, false
 		}
-		if !r.Delta {
-			ns, qok := telemetry.DeltaQuantile(h, telemetry.HistogramStats{}, r.Quantile)
-			return float64(ns), qok
-		}
-		if prev == nil {
-			return 0, false
-		}
-		ns, qok := telemetry.DeltaQuantile(h, prev.Histograms[r.Metric], r.Quantile)
+		ns, qok := telemetry.Quantile(h, r.Quantile)
 		return float64(ns), qok
+	case r.Delta:
+		return e.store.Delta(r.Metric, e.lastNs, cur.TsNs)
 	}
-	value := func(s *telemetry.Snapshot) (float64, bool) {
-		if c, found := s.Counters[r.Metric]; found {
-			return float64(c), true
-		}
-		if g, found := s.Gauges[r.Metric]; found {
-			return g, true
-		}
-		return 0, false
+	if c, found := cur.Counters[r.Metric]; found {
+		return float64(c), true
 	}
-	curV, found := value(cur)
-	if !found {
-		return 0, false
-	}
-	if !r.Delta {
-		return curV, true
-	}
-	if prev == nil {
-		return 0, false
-	}
-	prevV, _ := value(prev) // missing before = 0 baseline (metric just appeared)
-	d := curV - prevV
-	if d < 0 {
-		d = 0 // counter reset
-	}
-	return d, true
+	v, ok = cur.Gauges[r.Metric]
+	return v, ok
 }
 
-// Evaluate runs every rule against the snapshot and advances the alert
-// state machine.
-func (e *Engine) Evaluate(snap telemetry.Snapshot) {
+// Evaluate runs every rule against the store's newest point and advances
+// the alert state machine.
+func (e *Engine) Evaluate() {
 	now := e.cfg.Now().UnixNano()
+	// An empty store's zero point carries no series: every rule reads as
+	// missing data.
+	cur, _ := e.store.Latest()
 
 	e.mu.Lock()
 	e.evaluations++
@@ -197,7 +190,7 @@ func (e *Engine) Evaluate(snap telemetry.Snapshot) {
 	var firedNow []Alert
 	firing := 0
 	for _, rs := range e.rules {
-		v, ok := rs.read(&snap, e.prev)
+		v, ok := e.read(rs.rule, cur)
 		breach := ok && rs.rule.compare(v)
 		if ok {
 			rs.lastValue = v
@@ -253,8 +246,7 @@ func (e *Engine) Evaluate(snap telemetry.Snapshot) {
 		}
 	}
 	e.gFiring.SetInt(int64(firing))
-	prev := snap
-	e.prev = &prev
+	e.lastNs = cur.TsNs
 	e.mu.Unlock()
 
 	// Firing callbacks run outside the engine lock: the daemon's handler

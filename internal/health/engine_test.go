@@ -10,12 +10,14 @@ import (
 	"time"
 
 	"jarvis/internal/telemetry"
+	"jarvis/internal/tsdb"
 )
 
 // The alert lifecycle — firing after For breaches, dedup while firing,
 // resolving after ClearFor clean evaluations — is the contract the
 // daemon's rollback arming and the CI smoke test depend on, so each edge
-// gets its own test against a synthetic registry.
+// gets its own test against a synthetic registry and a memory-only
+// metric history.
 
 func testClock() func() time.Time {
 	var mu sync.Mutex
@@ -28,36 +30,73 @@ func testClock() func() time.Time {
 	}
 }
 
-func newTestEngine(t *testing.T, rules []Rule, logPath string) (*Engine, *telemetry.Registry) {
+// harness drives an engine the way the daemon's health tick does: append
+// one point to the store, then evaluate.
+type harness struct {
+	*Engine
+	t     *testing.T
+	reg   *telemetry.Registry
+	store *tsdb.DB
+	ts    int64
+}
+
+// newHarness builds an engine over a memory-only store whose points the
+// test stamps one second apart, after appending any baseline points.
+func newHarness(t *testing.T, cfg EngineConfig, baseline ...tsdb.Point) *harness {
 	t.Helper()
-	reg := telemetry.New()
-	e, err := NewEngine(EngineConfig{
-		Rules:    rules,
-		LogPath:  logPath,
-		Registry: reg,
-		Now:      testClock(),
-	})
+	h := &harness{t: t, reg: telemetry.New()}
+	h.store, _ = tsdb.Open("", tsdb.Options{}) // a memory-only store cannot fail to open
+	for _, p := range baseline {
+		h.append(p)
+	}
+	cfg.Registry, cfg.Now = h.reg, testClock()
+	e, err := NewEngine(h.store, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { e.Close() })
-	return e, reg
+	h.Engine = e
+	return h
 }
 
-func gaugeSnap(reg *telemetry.Registry, name string, v float64) telemetry.Snapshot {
-	reg.Gauge(name).Set(v)
-	return reg.Snapshot()
+func newTestEngine(t *testing.T, rules []Rule, logPath string) *harness {
+	t.Helper()
+	return newHarness(t, EngineConfig{Rules: rules, LogPath: logPath})
+}
+
+// append stores p one second after the previous point.
+func (h *harness) append(p tsdb.Point) {
+	h.ts += int64(time.Second)
+	p.TsNs = h.ts
+	if err := h.store.Append(p); err != nil {
+		h.t.Fatal(err)
+	}
+}
+
+// point appends p and evaluates.
+func (h *harness) point(p tsdb.Point) {
+	h.append(p)
+	h.Evaluate()
+}
+
+// tick appends the registry's snapshot and evaluates.
+func (h *harness) tick() { h.point(tsdb.FromSnapshot(h.reg.Snapshot())) }
+
+// gauge sets a gauge on the registry and ticks.
+func (h *harness) gauge(name string, v float64) {
+	h.reg.Gauge(name).Set(v)
+	h.tick()
 }
 
 func TestAlertFiringResolvedLifecycle(t *testing.T) {
 	rule := Rule{Name: "hot", Metric: "temp", Op: ">", Value: 100, For: 2, ClearFor: 2}
-	e, reg := newTestEngine(t, []Rule{rule}, "")
+	e := newTestEngine(t, []Rule{rule}, "")
 
-	e.Evaluate(gaugeSnap(reg, "temp", 150))
+	e.gauge("temp", 150)
 	if len(e.Active()) != 0 {
 		t.Fatal("fired after 1 breach, want For=2")
 	}
-	e.Evaluate(gaugeSnap(reg, "temp", 160))
+	e.gauge("temp", 160)
 	active := e.Active()
 	if len(active) != 1 || active[0].Rule != "hot" {
 		t.Fatalf("active after 2 breaches = %+v, want [hot]", active)
@@ -66,11 +105,11 @@ func TestAlertFiringResolvedLifecycle(t *testing.T) {
 		t.Fatalf("alert value/threshold = %v/%v", active[0].Value, active[0].Threshold)
 	}
 
-	e.Evaluate(gaugeSnap(reg, "temp", 50))
+	e.gauge("temp", 50)
 	if len(e.Active()) != 1 {
 		t.Fatal("resolved after 1 clean eval, want ClearFor=2")
 	}
-	e.Evaluate(gaugeSnap(reg, "temp", 50))
+	e.gauge("temp", 50)
 	if len(e.Active()) != 0 {
 		t.Fatal("still firing after ClearFor clean evals")
 	}
@@ -83,7 +122,7 @@ func TestAlertFiringResolvedLifecycle(t *testing.T) {
 	if st.Fired != 1 || st.Resolved != 1 || st.Firing != 0 {
 		t.Fatalf("stats = %+v", st)
 	}
-	if v := reg.Snapshot().Gauges["health.alerts.firing"]; v != 0 {
+	if v := e.reg.Snapshot().Gauges["health.alerts.firing"]; v != 0 {
 		t.Fatalf("firing gauge = %v after resolve", v)
 	}
 }
@@ -91,20 +130,13 @@ func TestAlertFiringResolvedLifecycle(t *testing.T) {
 func TestAlertDedupWhileFiring(t *testing.T) {
 	rule := Rule{Name: "hot", Metric: "temp", Op: ">", Value: 100, For: 1, ClearFor: 1}
 	var firings int
-	reg := telemetry.New()
-	e, err := NewEngine(EngineConfig{
+	e := newHarness(t, EngineConfig{
 		Rules:    []Rule{rule},
-		Registry: reg,
-		Now:      testClock(),
 		OnFiring: func(Alert) { firings++ },
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer e.Close()
 
 	for i := 0; i < 5; i++ {
-		e.Evaluate(gaugeSnap(reg, "temp", 200))
+		e.gauge("temp", 200)
 	}
 	if firings != 1 {
 		t.Fatalf("OnFiring ran %d times for a sustained breach, want 1", firings)
@@ -122,13 +154,13 @@ func TestFlapDampingUnderOscillation(t *testing.T) {
 	// A metric oscillating every evaluation never sustains For=2 breaches
 	// nor ClearFor=2 clean evals, so the alert must never transition.
 	rule := Rule{Name: "flappy", Metric: "temp", Op: ">", Value: 100, For: 2, ClearFor: 2}
-	e, reg := newTestEngine(t, []Rule{rule}, "")
+	e := newTestEngine(t, []Rule{rule}, "")
 	for i := 0; i < 20; i++ {
 		v := 50.0
 		if i%2 == 0 {
 			v = 150
 		}
-		e.Evaluate(gaugeSnap(reg, "temp", v))
+		e.gauge("temp", v)
 	}
 	if st := e.Stats(); st.Fired != 0 || st.Resolved != 0 {
 		t.Fatalf("oscillation produced transitions: %+v", st)
@@ -137,13 +169,13 @@ func TestFlapDampingUnderOscillation(t *testing.T) {
 	// The same oscillation against For=1/ClearFor=4 fires once and stays
 	// firing: damping holds the alert up through the dips.
 	rule2 := Rule{Name: "sticky", Metric: "temp", Op: ">", Value: 100, For: 1, ClearFor: 4}
-	e2, reg2 := newTestEngine(t, []Rule{rule2}, "")
+	e2 := newTestEngine(t, []Rule{rule2}, "")
 	for i := 0; i < 20; i++ {
 		v := 50.0
 		if i%2 == 0 {
 			v = 150
 		}
-		e2.Evaluate(gaugeSnap(reg2, "temp", v))
+		e2.gauge("temp", v)
 	}
 	if st := e2.Stats(); st.Fired != 1 || st.Resolved != 0 || st.Firing != 1 {
 		t.Fatalf("sticky rule stats = %+v, want fired=1 still firing", st)
@@ -152,47 +184,78 @@ func TestFlapDampingUnderOscillation(t *testing.T) {
 
 func TestDeltaRuleNeedsPreviousSnapshot(t *testing.T) {
 	rule := Rule{Name: "new-errs", Metric: "errors", Delta: true, Op: ">", Value: 0, For: 1, ClearFor: 1}
-	e, reg := newTestEngine(t, []Rule{rule}, "")
-	c := reg.Counter("errors")
+	e := newTestEngine(t, []Rule{rule}, "")
+	c := e.reg.Counter("errors")
 	c.Add(100)
 
-	// First snapshot: cumulative 100 but no previous snapshot — no breach.
-	e.Evaluate(reg.Snapshot())
+	// First point: cumulative 100, but the store was empty when the engine
+	// was built, so the window starts at this point — no breach.
+	e.tick()
 	if len(e.Active()) != 0 {
-		t.Fatal("delta rule fired on the first snapshot")
+		t.Fatal("delta rule fired on the first point")
 	}
 	// No movement: delta 0 — still no breach.
-	e.Evaluate(reg.Snapshot())
+	e.tick()
 	if len(e.Active()) != 0 {
 		t.Fatal("delta rule fired without movement")
 	}
 	c.Add(1)
-	e.Evaluate(reg.Snapshot())
+	e.tick()
 	if len(e.Active()) != 1 {
 		t.Fatal("delta rule missed a fresh increment")
 	}
 	// Movement stops: resolves.
-	e.Evaluate(reg.Snapshot())
+	e.tick()
 	if len(e.Active()) != 0 {
 		t.Fatal("delta rule stayed firing after movement stopped")
 	}
 }
 
+// TestDeltaRuleCountsSinceConstruction: the daemon builds its engine
+// right after appending the boot baseline point, so whatever is counted
+// before the first health tick — degraded recommendations from a
+// restored checkpoint, say — must fire a delta rule on the first
+// evaluation, for counters and histogram quantiles alike.
+func TestDeltaRuleCountsSinceConstruction(t *testing.T) {
+	rules := []Rule{
+		{Name: "new-degraded", Metric: "degraded", Delta: true, Op: ">", Value: 0, For: 1, ClearFor: 1},
+		{Name: "slow", Metric: "lat", Quantile: 0.99, Delta: true, Op: ">", Value: 1_000_000, For: 1, ClearFor: 1},
+	}
+	reg := telemetry.New()
+	degraded, lat := reg.Counter("degraded"), reg.Histogram("lat")
+	older := tsdb.FromSnapshot(reg.Snapshot())
+	degraded.Add(40) // counted before the baseline point; not new
+	for i := 0; i < 100; i++ {
+		lat.ObserveNs(1000)
+	}
+	e := newHarness(t, EngineConfig{Rules: rules}, older, tsdb.FromSnapshot(reg.Snapshot()))
+
+	degraded.Inc()
+	for i := 0; i < 100; i++ {
+		lat.ObserveNs(50_000_000)
+	}
+	e.point(tsdb.FromSnapshot(reg.Snapshot()))
+	active := e.Active()
+	if len(active) != 2 || active[0].Rule != "new-degraded" || active[0].Value != 1 || active[1].Rule != "slow" {
+		t.Fatalf("first evaluation fired %+v, want new-degraded (1 new) and slow", active)
+	}
+}
+
 func TestHistogramQuantileRule(t *testing.T) {
 	rule := Rule{Name: "slow", Metric: "lat", Quantile: 0.99, Op: ">", Value: 1_000_000, For: 1, ClearFor: 1}
-	e, reg := newTestEngine(t, []Rule{rule}, "")
-	h := reg.Histogram("lat")
+	e := newTestEngine(t, []Rule{rule}, "")
+	h := e.reg.Histogram("lat")
 	for i := 0; i < 100; i++ {
 		h.ObserveNs(1000)
 	}
-	e.Evaluate(reg.Snapshot())
+	e.tick()
 	if len(e.Active()) != 0 {
 		t.Fatal("fast histogram breached the p99 rule")
 	}
 	for i := 0; i < 100; i++ {
 		h.ObserveNs(50_000_000)
 	}
-	e.Evaluate(reg.Snapshot())
+	e.tick()
 	if len(e.Active()) != 1 {
 		t.Fatal("slow histogram did not breach the p99 rule")
 	}
@@ -200,11 +263,11 @@ func TestHistogramQuantileRule(t *testing.T) {
 
 func TestMissingMetricResetsBreachStreak(t *testing.T) {
 	rule := Rule{Name: "hot", Metric: "temp", Op: ">", Value: 100, For: 2, ClearFor: 1}
-	e, reg := newTestEngine(t, []Rule{rule}, "")
-	e.Evaluate(gaugeSnap(reg, "temp", 150))
-	// A snapshot without the metric at all must reset the streak.
-	e.Evaluate(telemetry.Snapshot{})
-	e.Evaluate(gaugeSnap(reg, "temp", 150))
+	e := newTestEngine(t, []Rule{rule}, "")
+	e.gauge("temp", 150)
+	// A point without the metric at all must reset the streak.
+	e.point(tsdb.Point{})
+	e.gauge("temp", 150)
 	if len(e.Active()) != 0 {
 		t.Fatal("breach streak survived a missing-metric snapshot")
 	}
@@ -214,10 +277,10 @@ func TestAlertJSONLLog(t *testing.T) {
 	dir := t.TempDir()
 	logPath := filepath.Join(dir, "alerts.jsonl")
 	rule := Rule{Name: "hot", Metric: "temp", Op: ">", Value: 100, For: 1, ClearFor: 1}
-	e, reg := newTestEngine(t, []Rule{rule}, logPath)
+	e := newTestEngine(t, []Rule{rule}, logPath)
 
-	e.Evaluate(gaugeSnap(reg, "temp", 150))
-	e.Evaluate(gaugeSnap(reg, "temp", 50))
+	e.gauge("temp", 150)
+	e.gauge("temp", 50)
 	if err := e.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -251,7 +314,7 @@ func TestConcurrentSnapshotDuringEvaluation(t *testing.T) {
 		{Name: "a", Metric: "temp", Op: ">", Value: 100, For: 1, ClearFor: 1},
 		{Name: "b", Metric: "temp", Delta: true, Op: ">", Value: 0, For: 1, ClearFor: 1},
 	}
-	e, reg := newTestEngine(t, rules, "")
+	e := newTestEngine(t, rules, "")
 	var wg sync.WaitGroup
 	stop := make(chan struct{})
 	for i := 0; i < 4; i++ {
@@ -272,9 +335,8 @@ func TestConcurrentSnapshotDuringEvaluation(t *testing.T) {
 	}
 	for i := 0; i < 500; i++ {
 		v := float64(i % 300)
-		reg.Gauge("temp").Set(v)
-		reg.Counter("hits").Inc()
-		e.Evaluate(reg.Snapshot())
+		e.reg.Counter("hits").Inc()
+		e.gauge("temp", v)
 	}
 	close(stop)
 	wg.Wait()
@@ -282,15 +344,10 @@ func TestConcurrentSnapshotDuringEvaluation(t *testing.T) {
 
 func TestHistoryRingBounded(t *testing.T) {
 	rule := Rule{Name: "hot", Metric: "temp", Op: ">", Value: 100, For: 1, ClearFor: 1}
-	reg := telemetry.New()
-	e, err := NewEngine(EngineConfig{Rules: []Rule{rule}, RingSize: 4, Registry: reg, Now: testClock()})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer e.Close()
+	e := newHarness(t, EngineConfig{Rules: []Rule{rule}, RingSize: 4})
 	for i := 0; i < 20; i++ {
-		e.Evaluate(gaugeSnap(reg, "temp", 150))
-		e.Evaluate(gaugeSnap(reg, "temp", 50))
+		e.gauge("temp", 150)
+		e.gauge("temp", 50)
 	}
 	if got := len(e.History(0)); got != 4 {
 		t.Fatalf("ring holds %d transitions, want 4", got)

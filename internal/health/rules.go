@@ -2,9 +2,9 @@
 // evaluator replays the recent WAL window against the live Q function to
 // quantify behavioral drift, an SLO tracker scores rolling-window
 // error-budget burn rates over the daemon's metric history (tsdb), and a
-// rule-based alert engine raises and resolves alerts over any of it. The
-// package consumes only telemetry snapshots, the metric history, and the
-// replay verifier, so it runs entirely off the daemon's request path.
+// rule-based alert engine raises and resolves alerts over the same
+// history. The package consumes only the metric history and the replay
+// verifier, so it runs entirely off the daemon's request path.
 package health
 
 import (
@@ -23,8 +23,8 @@ const (
 	SeverityCritical Severity = "critical"
 )
 
-// Rule is one threshold check evaluated against every telemetry
-// snapshot. A rule reads one metric — a counter, a gauge (including the
+// Rule is one threshold check evaluated against every new point of the
+// metric history. A rule reads one metric — a counter, a gauge (including the
 // shadow evaluator's drift gauges), or a histogram quantile — compares
 // it against Value with Op, and feeds the alert state machine:
 //
@@ -33,11 +33,12 @@ const (
 //   - must then be clean on ClearFor consecutive evaluations to resolve
 //     (flap damping on the way down).
 //
-// With Delta set, the compared value is the change since the previous
-// snapshot rather than the cumulative value — the natural reading for
-// counters ("any new restore failures?"). A delta rule never breaches on
-// the first snapshot, and a snapshot missing the metric entirely counts
-// as clean data.
+// With Delta set, the compared value is the change since the point the
+// previous evaluation read (the store's newest point when the engine was
+// built) rather than the cumulative value — the natural reading for
+// counters ("any new restore failures?"). A counter's change is its
+// reset-aware increase across the points between, a gauge's the signed
+// difference. A point missing the metric entirely counts as clean data.
 type Rule struct {
 	Name   string `json:"name"`
 	Metric string `json:"metric"`
@@ -45,9 +46,9 @@ type Rule struct {
 	// p99 — and makes Metric refer to a histogram. Zero reads a counter or
 	// gauge. Histogram rules compare nanoseconds.
 	Quantile float64 `json:"quantile,omitempty"`
-	// Delta compares the change since the previous snapshot instead of the
-	// cumulative value. For histogram rules the quantile is computed over
-	// just the inter-snapshot window.
+	// Delta compares the change since the previous evaluation's point
+	// instead of the cumulative value. For histogram rules the quantile is
+	// computed over just the observations recorded since.
 	Delta    bool     `json:"delta,omitempty"`
 	Op       string   `json:"op"`
 	Value    float64  `json:"value"`

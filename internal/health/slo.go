@@ -189,9 +189,9 @@ func (t *Tracker) score(o Objective, prev, cur tsdb.Point) ObjectiveStatus {
 	switch st.Kind {
 	case "latency":
 		h, _ := t.store.HistogramDelta(o.Histogram, prev.TsNs, cur.TsNs)
-		over, total := telemetry.DeltaCountOver(h, telemetry.HistogramStats{}, o.ThresholdNs)
+		over, total := telemetry.CountOver(h, o.ThresholdNs)
 		st.Bad, st.Total, st.Good = over, total, total-over
-		if p99, ok := telemetry.DeltaQuantile(h, telemetry.HistogramStats{}, 0.99); ok {
+		if p99, ok := telemetry.Quantile(h, 0.99); ok {
 			st.P99Ns = p99
 		}
 	case "ratio":

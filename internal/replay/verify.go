@@ -3,10 +3,7 @@ package replay
 import (
 	"errors"
 	"fmt"
-	"math/rand"
 	"os"
-
-	"jarvis/internal/experiment"
 )
 
 // Source names the recorded artifacts a replay re-executes from.
@@ -379,19 +376,4 @@ func WhatIf(opts WhatIfOptions) (*WhatIfReport, error) {
 	rep.ViolationDelta = (rep.Variant.Violations + rep.Variant.Unsafe) -
 		(rep.Baseline.Violations + rep.Baseline.Unsafe)
 	return rep, nil
-}
-
-// VerifySweep fans independent verifications across the experiment
-// harness's bounded worker pool — e.g. one recorded run per seed — and
-// returns the reports in input order.
-func VerifySweep(opts []VerifyOptions) ([]*VerifyReport, error) {
-	return experiment.Parallel(experiment.Seeds(0, len(opts)),
-		func(i int, _ *rand.Rand) (*VerifyReport, error) { return Verify(opts[i]) })
-}
-
-// WhatIfSweep fans independent counterfactual replays across the worker
-// pool, one per option set.
-func WhatIfSweep(opts []WhatIfOptions) ([]*WhatIfReport, error) {
-	return experiment.Parallel(experiment.Seeds(0, len(opts)),
-		func(i int, _ *rand.Rand) (*WhatIfReport, error) { return WhatIf(opts[i]) })
 }

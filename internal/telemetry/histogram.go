@@ -95,10 +95,10 @@ func (h *Histogram) Count() int64 { return h.count.Load() }
 
 // BucketCount is one populated bucket of a histogram snapshot: inclusive
 // lower bound, bucket width, and the observations that landed inside.
-// Exporting the raw (sparse) buckets is what lets a consumer window two
-// snapshots — subtract counts bucket by bucket and re-derive quantiles
-// over just the interval — which the cumulative p50/p95/p99 summaries
-// cannot express. See DeltaQuantile and DeltaCountOver.
+// Exporting the raw (sparse) buckets is what lets the metric history
+// window a histogram — each bucket's increase across the window — and
+// re-derive quantiles over just the interval, which the cumulative
+// p50/p95/p99 summaries cannot express. See Quantile and CountOver.
 type BucketCount struct {
 	LowNs   int64 `json:"lowNs"`
 	WidthNs int64 `json:"widthNs"`

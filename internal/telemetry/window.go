@@ -3,48 +3,21 @@ package telemetry
 import "math"
 
 // Windowed histogram arithmetic: the SLO and alerting layers score
-// latency objectives over a rolling window, not over the process
-// lifetime, so they need the distribution observed *between* two
-// snapshots of the same histogram. The exported sparse buckets
-// (HistogramStats.Buckets) make that a bucket-by-bucket subtraction;
-// negative deltas (a restarted writer) clamp to zero.
+// latency objectives over a window of the metric history, not over the
+// process lifetime. The history (internal/tsdb's HistogramDelta) builds
+// the window's histogram, each bucket's increase across the window; these
+// functions read one histogram's sparse buckets, so they serve a window
+// and a lifetime snapshot alike.
 
-// deltaBuckets subtracts prev's buckets from cur's, returning the sparse
-// positive deltas in ascending bucket order plus their total count. The
-// zero-value prev treats the whole of cur as the window.
-func deltaBuckets(cur, prev HistogramStats) ([]BucketCount, int64) {
-	old := make(map[int64]int64, len(prev.Buckets))
-	for _, b := range prev.Buckets {
-		old[b.LowNs] = b.Count
-	}
-	out := make([]BucketCount, 0, len(cur.Buckets))
+// Quantile estimates the q-quantile of a histogram's bucketed
+// observations by the same rank walk and intra-bucket interpolation Stats
+// uses. ok is false when the buckets hold no observations.
+func Quantile(h HistogramStats, q float64) (ns int64, ok bool) {
 	var total int64
-	for _, b := range cur.Buckets {
-		d := b.Count - old[b.LowNs]
-		if d <= 0 {
-			continue
-		}
-		out = append(out, BucketCount{LowNs: b.LowNs, WidthNs: b.WidthNs, Count: d})
-		total += d
+	for _, b := range h.Buckets {
+		total += b.Count
 	}
-	return out, total
-}
-
-// DeltaCount returns how many observations the window between prev and
-// cur contains (both snapshots of the same histogram; the zero-value
-// prev counts everything in cur).
-func DeltaCount(cur, prev HistogramStats) int64 {
-	_, total := deltaBuckets(cur, prev)
-	return total
-}
-
-// DeltaQuantile estimates the q-quantile of the observations recorded
-// between two snapshots of the same histogram, by the same rank walk and
-// intra-bucket interpolation Stats uses. ok is false when the window
-// holds no observations.
-func DeltaQuantile(cur, prev HistogramStats, q float64) (ns int64, ok bool) {
-	buckets, total := deltaBuckets(cur, prev)
-	if total == 0 {
+	if total <= 0 {
 		return 0, false
 	}
 	rank := int64(math.Ceil(q * float64(total)))
@@ -55,25 +28,25 @@ func DeltaQuantile(cur, prev HistogramStats, q float64) (ns int64, ok bool) {
 		rank = total
 	}
 	var cum int64
-	for _, b := range buckets {
+	for _, b := range h.Buckets {
 		if cum+b.Count >= rank {
 			frac := float64(rank-cum) / float64(b.Count)
 			return b.LowNs + int64(frac*float64(b.WidthNs)), true
 		}
 		cum += b.Count
 	}
-	last := buckets[len(buckets)-1]
+	last := h.Buckets[len(h.Buckets)-1]
 	return last.LowNs + last.WidthNs, true
 }
 
-// DeltaCountOver returns how many observations in the window exceeded
-// thresholdNs, plus the window total — the good/bad split a latency SLO
-// scores. The bucket straddling the threshold is prorated linearly, so
-// the split degrades gracefully with the ≤25% bucket width instead of
+// CountOver returns how many of a histogram's bucketed observations
+// exceeded thresholdNs, plus their total — the good/bad split a latency
+// SLO scores. The bucket straddling the threshold is prorated linearly,
+// so the split degrades gracefully with the ≤25% bucket width instead of
 // snapping to a bucket edge.
-func DeltaCountOver(cur, prev HistogramStats, thresholdNs int64) (over, total int64) {
-	buckets, total := deltaBuckets(cur, prev)
-	for _, b := range buckets {
+func CountOver(h HistogramStats, thresholdNs int64) (over, total int64) {
+	for _, b := range h.Buckets {
+		total += b.Count
 		switch {
 		case b.LowNs > thresholdNs:
 			over += b.Count

@@ -6,9 +6,8 @@ import (
 	"time"
 )
 
-// Satellite coverage: HistogramStats.Buckets windowed-delta edge cases
-// feeding DeltaQuantile — empty window, counter reset after a daemon
-// restart, and a single-bucket spike.
+// Edge cases of the one-histogram window arithmetic: an empty window
+// and a window whose observations all share one bucket.
 
 func newTestHist() *Histogram {
 	en := &atomic.Bool{}
@@ -16,106 +15,32 @@ func newTestHist() *Histogram {
 	return newHistogram(en)
 }
 
-func TestDeltaQuantileIdenticalSnapshotsIsEmptyWindow(t *testing.T) {
-	h := newTestHist()
-	for i := 0; i < 50; i++ {
-		h.Observe(time.Millisecond)
-	}
-	s := h.Stats()
-	// cur == prev: zero observations in the window, regardless of how much
-	// lifetime history the histogram carries.
-	if _, ok := DeltaQuantile(s, s, 0.99); ok {
-		t.Fatal("identical snapshots reported a non-empty window")
-	}
-	if n := DeltaCount(s, s); n != 0 {
-		t.Fatalf("DeltaCount(s, s) = %d, want 0", n)
-	}
-}
-
 func TestDeltaQuantileBothEmpty(t *testing.T) {
 	var zero HistogramStats
-	if _, ok := DeltaQuantile(zero, zero, 0.5); ok {
-		t.Fatal("two zero-value snapshots reported a non-empty window")
+	if _, ok := Quantile(zero, 0.5); ok {
+		t.Fatal("a zero-value histogram reported a non-empty window")
 	}
-}
-
-func TestDeltaQuantileCounterResetAfterRestart(t *testing.T) {
-	// Before the restart: a long-lived histogram with plenty of slow
-	// observations.
-	before := newTestHist()
-	for i := 0; i < 1000; i++ {
-		before.Observe(100 * time.Millisecond)
-	}
-	prev := before.Stats()
-
-	// The daemon restarts: the histogram starts over and records a few
-	// fast observations. Every bucket count is now below prev's.
-	after := newTestHist()
-	for i := 0; i < 10; i++ {
-		after.Observe(time.Microsecond)
-	}
-	cur := after.Stats()
-
-	// Negative deltas clamp to zero rather than corrupting the window. The
-	// fast bucket (absent from prev) survives; the slow bucket's negative
-	// delta disappears.
-	buckets, total := deltaBuckets(cur, prev)
-	if total != 10 {
-		t.Fatalf("window total = %d, want 10 (post-restart observations only)", total)
-	}
-	for _, b := range buckets {
-		if b.Count < 0 {
-			t.Fatalf("negative bucket delta leaked: %+v", b)
-		}
-	}
-	q, ok := DeltaQuantile(cur, prev, 0.99)
-	if !ok {
-		t.Fatal("post-restart window reported empty")
-	}
-	if q > int64(10*time.Microsecond) {
-		t.Fatalf("p99 = %dns, want ~1µs (the pre-restart 100ms tail must not survive the reset)", q)
-	}
-}
-
-func TestDeltaQuantileCounterResetSameBucket(t *testing.T) {
-	// Reset where the post-restart traffic lands in the SAME bucket as the
-	// pre-restart traffic, but with a smaller count: the clamp makes the
-	// window empty (indistinguishable from no traffic — documented
-	// behavior, not silently negative).
-	before := newTestHist()
-	for i := 0; i < 100; i++ {
-		before.Observe(time.Millisecond)
-	}
-	prev := before.Stats()
-	after := newTestHist()
-	for i := 0; i < 5; i++ {
-		after.Observe(time.Millisecond)
-	}
-	if _, ok := DeltaQuantile(after.Stats(), prev, 0.5); ok {
-		t.Fatal("same-bucket reset should clamp to an empty window")
+	if over, total := CountOver(zero, 1); over != 0 || total != 0 {
+		t.Fatalf("CountOver(zero) = %d/%d, want 0/0", over, total)
 	}
 }
 
 func TestDeltaQuantileSingleBucketSpike(t *testing.T) {
-	h := newTestHist()
-	for i := 0; i < 20; i++ {
-		h.Observe(time.Millisecond)
-	}
-	prev := h.Stats()
 	// A burst of identical observations: the whole window lives in one
 	// bucket, so every quantile interpolates inside it.
+	h := newTestHist()
 	const spike = 500
 	for i := 0; i < spike; i++ {
 		h.Observe(10 * time.Millisecond)
 	}
 	cur := h.Stats()
 
-	if n := DeltaCount(cur, prev); n != spike {
-		t.Fatalf("DeltaCount = %d, want %d", n, spike)
+	if _, total := CountOver(cur, 0); total != spike {
+		t.Fatalf("window total = %d, want %d", total, spike)
 	}
 	low, width := bucketBounds(bucketOf(int64(10 * time.Millisecond)))
 	for _, q := range []float64{0.01, 0.5, 0.99, 1.0} {
-		ns, ok := DeltaQuantile(cur, prev, q)
+		ns, ok := Quantile(cur, q)
 		if !ok {
 			t.Fatalf("q=%v: empty window", q)
 		}
@@ -124,8 +49,8 @@ func TestDeltaQuantileSingleBucketSpike(t *testing.T) {
 		}
 	}
 	// Quantiles are monotone across the bucket interpolation.
-	p50, _ := DeltaQuantile(cur, prev, 0.5)
-	p99, _ := DeltaQuantile(cur, prev, 0.99)
+	p50, _ := Quantile(cur, 0.5)
+	p99, _ := Quantile(cur, 0.99)
 	if p99 < p50 {
 		t.Fatalf("p99 (%d) < p50 (%d)", p99, p50)
 	}
@@ -138,21 +63,20 @@ func TestDeltaCountOverSingleBucketSpikeProration(t *testing.T) {
 		h.Observe(10 * time.Millisecond)
 	}
 	cur := h.Stats()
-	var prev HistogramStats
 
 	// Threshold far above the spike bucket: nothing over.
-	if over, total := DeltaCountOver(cur, prev, int64(time.Second)); over != 0 || total != spike {
+	if over, total := CountOver(cur, int64(time.Second)); over != 0 || total != spike {
 		t.Fatalf("high threshold: over=%d total=%d, want 0/%d", over, total, spike)
 	}
 	// Threshold far below: everything over.
-	if over, _ := DeltaCountOver(cur, prev, int64(time.Microsecond)); over != spike {
+	if over, _ := CountOver(cur, int64(time.Microsecond)); over != spike {
 		t.Fatalf("low threshold: over=%d, want %d", over, spike)
 	}
 	// Threshold inside the spike bucket: the prorated split stays within
 	// the bucket's population.
 	low, width := bucketBounds(bucketOf(int64(10 * time.Millisecond)))
 	mid := low + width/2
-	over, total := DeltaCountOver(cur, prev, mid)
+	over, total := CountOver(cur, mid)
 	if total != spike {
 		t.Fatalf("total = %d, want %d", total, spike)
 	}

@@ -5,41 +5,10 @@ import (
 	"testing"
 )
 
-// Windowed-quantile math: the SLO layer depends on snapshot deltas being a
-// faithful histogram of just the interval, so these tests drive two
-// snapshots of one histogram and check the delta sees only the newer
-// observations.
-
-func TestDeltaQuantileWindowsOutOldObservations(t *testing.T) {
-	r := New()
-	h := r.Histogram("h")
-	// First epoch: fast observations around 1µs.
-	for i := 0; i < 100; i++ {
-		h.ObserveNs(1000)
-	}
-	prev := h.Stats()
-	// Second epoch: slow observations around 1ms.
-	for i := 0; i < 50; i++ {
-		h.ObserveNs(1_000_000)
-	}
-	cur := h.Stats()
-
-	if n := DeltaCount(cur, prev); n != 50 {
-		t.Fatalf("DeltaCount = %d, want 50", n)
-	}
-	p99, ok := DeltaQuantile(cur, prev, 0.99)
-	if !ok {
-		t.Fatal("DeltaQuantile not ok")
-	}
-	// The window contains only ~1ms samples; the cumulative p99 would be
-	// dragged toward 1µs by the first epoch's 100 samples.
-	if p99 < 900_000 || p99 > 1_300_000 {
-		t.Fatalf("windowed p99 = %dns, want ~1ms", p99)
-	}
-	if full := cur.P50Ns; full > 500_000 {
-		t.Fatalf("sanity: cumulative p50 = %dns, expected fast-epoch dominated", full)
-	}
-}
+// Windowed-quantile math: the SLO layer scores a window's histogram
+// (each bucket's increase across the window, from the metric history),
+// so these tests check the rank walk and the good/bad split over one
+// histogram's buckets.
 
 func TestDeltaQuantileZeroPrevIsFullHistogram(t *testing.T) {
 	r := New()
@@ -47,8 +16,7 @@ func TestDeltaQuantileZeroPrevIsFullHistogram(t *testing.T) {
 	for i := 1; i <= 100; i++ {
 		h.ObserveNs(int64(i) * 1000)
 	}
-	s := h.Stats()
-	p50, ok := DeltaQuantile(s, HistogramStats{}, 0.50)
+	p50, ok := Quantile(h.Stats(), 0.50)
 	if !ok {
 		t.Fatal("not ok")
 	}
@@ -60,48 +28,31 @@ func TestDeltaQuantileZeroPrevIsFullHistogram(t *testing.T) {
 }
 
 func TestDeltaQuantileEmptyWindow(t *testing.T) {
-	r := New()
-	h := r.Histogram("h")
-	h.ObserveNs(5000)
-	s := h.Stats()
-	if _, ok := DeltaQuantile(s, s, 0.99); ok {
-		t.Fatal("empty window should report !ok")
+	// A window is its buckets: lifetime scalars without buckets hold no
+	// windowed observation.
+	if _, ok := Quantile(HistogramStats{Count: 5, P99Ns: 5000}, 0.99); ok {
+		t.Fatal("a histogram without buckets should report !ok")
 	}
-	if _, ok := DeltaQuantile(HistogramStats{}, HistogramStats{}, 0.5); ok {
-		t.Fatal("two zero snapshots should report !ok")
+	if over, total := CountOver(HistogramStats{Count: 5}, 1); over != 0 || total != 0 {
+		t.Fatalf("CountOver without buckets = %d/%d, want 0/0", over, total)
 	}
 }
 
 func TestDeltaCountOverSplitsGoodBad(t *testing.T) {
 	r := New()
 	h := r.Histogram("h")
-	prev := h.Stats()
 	for i := 0; i < 90; i++ {
 		h.ObserveNs(1000) // well under
 	}
 	for i := 0; i < 10; i++ {
 		h.ObserveNs(50_000_000) // well over
 	}
-	cur := h.Stats()
-	over, total := DeltaCountOver(cur, prev, 10_000_000)
+	over, total := CountOver(h.Stats(), 10_000_000)
 	if total != 100 {
 		t.Fatalf("total = %d, want 100", total)
 	}
 	if over != 10 {
 		t.Fatalf("over = %d, want 10", over)
-	}
-}
-
-func TestDeltaClampsCounterReset(t *testing.T) {
-	// prev claiming more observations than cur (e.g. restarted process)
-	// must clamp to zero, not go negative.
-	prev := HistogramStats{Buckets: []BucketCount{{LowNs: 8, WidthNs: 2, Count: 100}}}
-	cur := HistogramStats{Buckets: []BucketCount{{LowNs: 8, WidthNs: 2, Count: 40}}}
-	if n := DeltaCount(cur, prev); n != 0 {
-		t.Fatalf("DeltaCount after reset = %d, want 0", n)
-	}
-	if over, total := DeltaCountOver(cur, prev, 5); over != 0 || total != 0 {
-		t.Fatalf("DeltaCountOver after reset = %d/%d, want 0/0", over, total)
 	}
 }
 

@@ -67,9 +67,6 @@ func New(ringCapacity int) *Tracer {
 // traces everything; n <= 0 disables tracing.
 func (t *Tracer) SetSampleEvery(n int) { t.every.Store(int64(n)) }
 
-// SampleEvery returns the current sampling rate (<= 0 when disabled).
-func (t *Tracer) SampleEvery() int { return int(t.every.Load()) }
-
 // SetSeed seeds the deterministic trace-ID sequence.
 func (t *Tracer) SetSeed(seed uint64) { t.seed.Store(seed) }
 

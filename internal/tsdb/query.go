@@ -222,14 +222,14 @@ func (db *DB) HistogramDelta(name string, fromNs, toNs int64) (telemetry.Histogr
 
 // QuantileOverTime estimates the q-quantile of a histogram series'
 // observations recorded inside the window (HistogramDelta), by the rank
-// walk of telemetry.DeltaQuantile. ok is false for unknown series and
+// walk of telemetry.Quantile. ok is false for unknown series and
 // empty windows.
 func (db *DB) QuantileOverTime(name string, q float64, fromNs, toNs int64) (ns int64, ok bool) {
 	h, ok := db.HistogramDelta(name, fromNs, toNs)
 	if !ok {
 		return 0, false
 	}
-	return telemetry.DeltaQuantile(h, telemetry.HistogramStats{}, q)
+	return telemetry.Quantile(h, q)
 }
 
 // Series returns one sample per retained point inside [fromNs, toNs] for

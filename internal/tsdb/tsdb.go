@@ -1,22 +1,24 @@
 // Package tsdb is an embedded, per-daemon time-series store for telemetry
 // snapshots: an in-memory mirror the query side (range, rate, delta,
 // quantile-over-time) serves from, bounded to one window by age, and —
-// when opened on a directory — an append-only log of delta-encoded metric
-// samples with WAL-style segment rotation, retention, and crash recovery.
+// when opened on a directory — the delta-encoded samples kept in a
+// wal.Log.
 //
 // The daemon appends one Point — every counter, gauge, and histogram in
 // the registry, labeled series included — every -ts-interval. That turns
 // the point-in-time /metrics scrape into history: SLO burn rates score
-// their windows from the store, `jarvisctl top` sparklines p99s from it,
-// and with a directory a restart loses at most the tail the crash tore.
-// Opened without a directory the store keeps the mirror only; the query
-// code is the same in both modes.
+// their windows from the store, alert rules read their deltas from it,
+// `jarvisctl top` sparklines p99s from it, and with a directory a restart
+// loses at most the tail the crash tore. Opened without a directory the
+// store keeps the mirror only; the query code is the same in both modes.
 //
 // # On-disk format
 //
-// Records use the WAL's framing: [length u32 LE | crc32c(payload) u32 LE
-// | payload], Castagnoli CRC, appended to numbered segments
-// (00000001.tsw, ...). The payload is one sample:
+// The storage is internal/wal's segmented log, opened with SyncOnRotate
+// (metric history is derived data: losing the last interval to power
+// loss is acceptable) and this package's segment size and retention, so
+// framing, checksums, segment naming, torn-tail truncation, sealed-segment
+// corruption and retention are the journal's. Each record is one sample:
 //
 //	kind   u8      1 = full, 2 = delta
 //	ts     uvarint unix nanoseconds
@@ -28,56 +30,36 @@
 //	       counts) or as 8 raw float64 bits (gauges).
 //
 // A full record resets the decoder — dictionary and last-values — and
-// then lists every live series, so its deltas are absolute values. Every
-// segment opens with a full record, which makes each segment
-// independently decodable: retention can delete old segments without
-// orphaning the deltas in newer ones, and recovery after a crash
-// re-seeds from whatever segments survive. A delta record lists only the
-// series that changed since the previous record, so a quiet interval
-// costs a few dozen bytes, not a full snapshot.
+// then lists every live series, so its deltas are absolute values. A
+// delta record lists only the series that changed since the previous
+// record, so a quiet interval costs a few dozen bytes, not a full
+// snapshot. The store owns rotation so that every segment opens with a
+// full record: it rotates the log itself when a sample would not fit the
+// active segment (wal.Log.Fits), and the first append after Open is full.
+// Each segment therefore decodes on its own, and retention can delete old
+// segments without orphaning the deltas in newer ones.
 //
 // # Recovery
 //
-// Open scans segments oldest-first, rebuilding the in-memory point
-// mirror. Damage at the tail of the last segment (short header, short
-// payload, bad CRC) is a torn write from a crash: the segment is
-// truncated back to its last whole record and appending resumes. The
-// same damage in a sealed segment is ErrCorrupt. The first append after
-// Open always writes a full record, so a reopened log never extends a
-// baseline it did not verify.
+// Open replays the log oldest-first through the decoder, rebuilding the
+// in-memory mirror. The log truncates a torn tail and reports damage in a
+// sealed segment as wal.ErrCorrupt; a checksum-valid sample that does not
+// decode fails Open with ErrCorrupt.
 package tsdb
 
 import (
-	"encoding/binary"
 	"errors"
 	"fmt"
-	"hash/crc32"
-	"os"
-	"path/filepath"
-	"sort"
-	"strconv"
-	"strings"
 	"sync"
-	"syscall"
 	"time"
 
 	"jarvis/internal/telemetry"
+	"jarvis/internal/wal"
 )
 
-const (
-	headerSize = 8
-	segSuffix  = ".tsw"
-
-	// MaxRecordBytes bounds one sample's payload; recovery treats a larger
-	// length prefix as tail damage rather than allocating it.
-	MaxRecordBytes = 16 << 20
-)
-
-// ErrCorrupt reports structural damage in a sealed segment — damage a
-// torn tail write cannot explain.
-var ErrCorrupt = errors.New("tsdb: corrupt record in sealed region")
-
-var castagnoli = crc32.MakeTable(crc32.Castagnoli)
+// ErrCorrupt reports a sample whose frame is intact but whose payload
+// does not decode — damage a torn write cannot explain.
+var ErrCorrupt = errors.New("tsdb: sample does not decode")
 
 // Point is one decoded sample: every series' value at one instant.
 type Point struct {
@@ -101,8 +83,8 @@ func FromSnapshot(s telemetry.Snapshot) Point {
 // Options tunes a DB. The zero value is usable: 1 MiB segments, retain 8
 // sealed segments, mirror a 10-minute window in memory.
 type Options struct {
-	// SegmentBytes rotates the active segment once it exceeds this size
-	// (default 1 MiB).
+	// SegmentBytes rotates the active segment before a sample would grow
+	// it past this size (default 1 MiB).
 	SegmentBytes int64
 	// Retain caps sealed segments kept after rotation (default 8; <0
 	// keeps everything).
@@ -147,19 +129,12 @@ type Stats struct {
 // DB is one daemon's metric history. All methods are safe for concurrent
 // use.
 type DB struct {
-	dir  string
 	opts Options
+	// log holds the samples; nil for a memory-only store.
+	log *wal.Log
+	rec RecoveryStats
 
 	mu sync.Mutex
-	// f is the active segment; nil for a memory-only store.
-	f           *os.File
-	seq         uint64
-	size        int64
-	sealed      []uint64
-	sealedBytes int64
-	closed      bool
-	rec         RecoveryStats
-
 	// points is the in-memory mirror, ascending by TsNs.
 	points []Point
 
@@ -169,73 +144,44 @@ type DB struct {
 	scratch []byte
 }
 
-// Open creates dir if needed, recovers any existing history into the
-// in-memory mirror, and returns a DB ready to append. An empty dir opens
-// a memory-only store: no segments, nothing written, nothing to recover.
+// Open recovers any history under dir into the in-memory mirror and
+// returns a DB ready to append. An empty dir opens a memory-only store:
+// nothing written, nothing to recover.
 func Open(dir string, opts Options) (*DB, error) {
-	db := &DB{dir: dir, opts: opts.withDefaults()}
+	db := &DB{opts: opts.withDefaults()}
 	if dir == "" {
 		return db, nil
 	}
-	if err := os.MkdirAll(dir, 0o755); err != nil {
+	log, err := wal.Open(dir, wal.Options{
+		SegmentBytes: db.opts.SegmentBytes,
+		Retain:       db.opts.Retain,
+		Policy:       wal.SyncOnRotate,
+	})
+	if err != nil {
 		return nil, fmt.Errorf("tsdb: %w", err)
 	}
-	segs, err := listSegments(dir)
+	dec := newDecoder()
+	err = log.Replay(func(rec []byte) error {
+		p, err := dec.decode(rec)
+		if err != nil {
+			return fmt.Errorf("%w: record %d", ErrCorrupt, db.rec.Points+1)
+		}
+		db.appendPointLocked(p)
+		db.rec.Points++
+		return nil
+	})
 	if err != nil {
+		log.Close()
 		return nil, err
 	}
-	for i, seq := range segs {
-		last := i == len(segs)-1
-		good, total, err := db.scanSegment(seq)
-		if err != nil {
-			return nil, err
-		}
-		if !last {
-			db.sealedBytes += total
-		}
-		if good < total {
-			if !last {
-				return nil, fmt.Errorf("%w: segment %08d has %d damaged trailing bytes", ErrCorrupt, seq, total-good)
-			}
-			if err := os.Truncate(db.segPath(seq), good); err != nil {
-				return nil, fmt.Errorf("tsdb: truncate torn tail: %w", err)
-			}
-			db.rec.TruncatedBytes = total - good
-		}
-	}
-	db.rec.Segments = len(segs)
-	db.rec.Points = len(db.points)
-	switch len(segs) {
-	case 0:
-		if err := db.openSegment(1); err != nil {
-			return nil, err
-		}
-		db.rec.Segments = 1
-	default:
-		db.sealed = segs[:len(segs)-1]
-		seq := segs[len(segs)-1]
-		f, err := os.OpenFile(db.segPath(seq), os.O_WRONLY|os.O_APPEND, 0o644)
-		if err != nil {
-			return nil, fmt.Errorf("tsdb: reopen segment: %w", err)
-		}
-		st, err := f.Stat()
-		if err != nil {
-			f.Close()
-			return nil, fmt.Errorf("tsdb: %w", err)
-		}
-		db.f, db.seq, db.size = f, seq, st.Size()
-	}
-	// enc stays nil: the first post-recovery append is a full record, so
-	// we never extend a baseline we did not verify.
+	wr := log.Recovery()
+	db.rec.Segments, db.rec.TruncatedBytes = wr.Segments, wr.TruncatedBytes
+	db.log = log
 	return db, nil
 }
 
 // Recovery reports what Open found (and repaired) on disk.
-func (db *DB) Recovery() RecoveryStats {
-	db.mu.Lock()
-	defer db.mu.Unlock()
-	return db.rec
-}
+func (db *DB) Recovery() RecoveryStats { return db.rec }
 
 // Append stores one snapshot. Points must arrive in non-decreasing
 // timestamp order; an out-of-order point is dropped (clock steps during
@@ -243,87 +189,70 @@ func (db *DB) Recovery() RecoveryStats {
 func (db *DB) Append(p Point) error {
 	db.mu.Lock()
 	defer db.mu.Unlock()
-	if db.closed {
-		return errors.New("tsdb: closed")
-	}
 	if n := len(db.points); n > 0 && p.TsNs < db.points[n-1].TsNs {
 		return nil
 	}
-	if db.f == nil { // memory-only: the mirror is the store
-		db.appendPointLocked(p)
-		return nil
+	if db.log != nil {
+		if err := db.writeLocked(p); err != nil {
+			return err
+		}
 	}
+	db.appendPointLocked(p)
+	return nil
+}
+
+// writeLocked appends p's sample to the log: a delta against the active
+// segment's baseline, or a full record when the segment has none yet or
+// the sample would overflow it, in which case the log rotates first.
+func (db *DB) writeLocked(p Point) error {
 	full := db.enc == nil
 	if full {
 		db.enc = newEncoder()
 	}
 	payload := encodePoint(db.scratch[:0], p, db.enc, full)
-	if len(payload) > MaxRecordBytes {
-		return fmt.Errorf("tsdb: sample of %d bytes exceeds MaxRecordBytes", len(payload))
-	}
-	if db.size > 0 && db.size+int64(headerSize+len(payload)) > db.opts.SegmentBytes {
-		if err := db.rotateLocked(); err != nil {
-			return err
+	if !db.log.Fits(len(payload)) {
+		if err := db.log.Rotate(); err != nil {
+			db.enc = nil
+			return fmt.Errorf("tsdb: %w", err)
 		}
-		// A new segment must open with a full record (fresh dictionary).
 		db.enc = newEncoder()
 		payload = encodePoint(payload[:0], p, db.enc, true)
 	}
 	db.scratch = payload[:0]
-	var hdr [headerSize]byte
-	binary.LittleEndian.PutUint32(hdr[0:4], uint32(len(payload)))
-	binary.LittleEndian.PutUint32(hdr[4:8], crc32.Checksum(payload, castagnoli))
-	if _, err := db.f.Write(hdr[:]); err != nil {
-		return fmt.Errorf("tsdb: append: %w", err)
+	if err := db.log.Append(payload); err != nil {
+		// The encoder may have assigned ids the log never stored.
+		db.enc = nil
+		return fmt.Errorf("tsdb: %w", err)
 	}
-	if _, err := db.f.Write(payload); err != nil {
-		return fmt.Errorf("tsdb: append: %w", err)
-	}
-	db.size += int64(headerSize + len(payload))
 	db.enc.observe(p)
-	db.appendPointLocked(p)
 	return nil
 }
 
 // Sync flushes the active segment to stable storage. The append path does
-// not fsync per sample — metric history is derived data; losing the last
-// interval to power loss is acceptable — so callers with stricter needs
-// (tests, clean shutdown) sync explicitly.
+// not fsync per sample, so callers with stricter needs (tests, clean
+// shutdown) sync explicitly.
 func (db *DB) Sync() error {
-	db.mu.Lock()
-	defer db.mu.Unlock()
-	if db.closed || db.f == nil {
+	if db.log == nil {
 		return nil
 	}
-	return db.f.Sync()
+	return db.log.Sync()
 }
 
-// Close syncs and closes the active segment (a no-op for a memory-only
-// store).
+// Close syncs and closes the log (a no-op for a memory-only store).
 func (db *DB) Close() error {
-	db.mu.Lock()
-	defer db.mu.Unlock()
-	if db.closed || db.f == nil {
+	if db.log == nil {
 		return nil
 	}
-	db.closed = true
-	if err := db.f.Sync(); err != nil {
-		db.f.Close()
-		return fmt.Errorf("tsdb: close: %w", err)
-	}
-	return db.f.Close()
+	return db.log.Close()
 }
 
 // Stats reports the store's live footprint.
 func (db *DB) Stats() Stats {
 	db.mu.Lock()
 	defer db.mu.Unlock()
-	s := Stats{
-		SizeBytes: db.sealedBytes + db.size,
-		Points:    len(db.points),
-	}
-	if db.f != nil {
-		s.Segments = len(db.sealed) + 1
+	s := Stats{Points: len(db.points)}
+	if db.log != nil {
+		s.Segments, s.SizeBytes = db.log.Segments(), db.log.SizeBytes()
 	}
 	if n := len(db.points); n > 0 {
 		s.OldestNs = db.points[0].TsNs
@@ -345,125 +274,4 @@ func (db *DB) appendPointLocked(p Point) {
 	}
 	clear(db.points[:i]) // drop the evicted points' maps for the GC
 	db.points = db.points[i:]
-}
-
-func (db *DB) rotateLocked() error {
-	if err := db.f.Sync(); err != nil {
-		return fmt.Errorf("tsdb: sync: %w", err)
-	}
-	if err := db.f.Close(); err != nil {
-		return fmt.Errorf("tsdb: seal segment: %w", err)
-	}
-	db.sealed = append(db.sealed, db.seq)
-	db.sealedBytes += db.size
-	if err := db.openSegment(db.seq + 1); err != nil {
-		return err
-	}
-	db.enc = nil // next record is full
-	if db.opts.Retain > 0 {
-		for len(db.sealed) > db.opts.Retain {
-			seq := db.sealed[0]
-			if st, err := os.Stat(db.segPath(seq)); err == nil {
-				db.sealedBytes -= st.Size()
-			}
-			if err := os.Remove(db.segPath(seq)); err != nil {
-				return fmt.Errorf("tsdb: retention: %w", err)
-			}
-			db.sealed = db.sealed[1:]
-		}
-		if err := syncDir(db.dir); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-func (db *DB) openSegment(seq uint64) error {
-	f, err := os.OpenFile(db.segPath(seq), os.O_WRONLY|os.O_CREATE|os.O_EXCL, 0o644)
-	if err != nil {
-		return fmt.Errorf("tsdb: create segment: %w", err)
-	}
-	if err := syncDir(db.dir); err != nil {
-		f.Close()
-		return err
-	}
-	db.f, db.seq, db.size = f, seq, 0
-	return nil
-}
-
-// scanSegment decodes one segment into the mirror, returning the offset
-// of the last whole record and the file size.
-func (db *DB) scanSegment(seq uint64) (good, total int64, err error) {
-	data, err := os.ReadFile(db.segPath(seq))
-	if err != nil {
-		return 0, 0, fmt.Errorf("tsdb: %w", err)
-	}
-	total = int64(len(data))
-	dec := newDecoder()
-	off := int64(0)
-	for {
-		rest := data[off:]
-		if len(rest) == 0 {
-			return off, total, nil
-		}
-		if len(rest) < headerSize {
-			return off, total, nil // torn header
-		}
-		n := int64(binary.LittleEndian.Uint32(rest[0:4]))
-		sum := binary.LittleEndian.Uint32(rest[4:8])
-		if n > MaxRecordBytes || int64(len(rest)) < headerSize+n {
-			return off, total, nil // impossible length or torn payload
-		}
-		payload := rest[headerSize : headerSize+n]
-		if crc32.Checksum(payload, castagnoli) != sum {
-			return off, total, nil // torn/corrupt record
-		}
-		p, derr := dec.decode(payload)
-		if derr != nil {
-			// Framing was intact but the payload grammar is not: treat like
-			// CRC damage at this offset.
-			return off, total, nil
-		}
-		db.appendPointLocked(p)
-		db.rec.Points++
-		off += headerSize + n
-	}
-}
-
-func (db *DB) segPath(seq uint64) string {
-	return filepath.Join(db.dir, fmt.Sprintf("%08d%s", seq, segSuffix))
-}
-
-func listSegments(dir string) ([]uint64, error) {
-	ents, err := os.ReadDir(dir)
-	if err != nil {
-		return nil, fmt.Errorf("tsdb: %w", err)
-	}
-	var segs []uint64
-	for _, ent := range ents {
-		name := ent.Name()
-		if ent.IsDir() || !strings.HasSuffix(name, segSuffix) {
-			continue
-		}
-		seq, err := strconv.ParseUint(strings.TrimSuffix(name, segSuffix), 10, 64)
-		if err != nil {
-			continue
-		}
-		segs = append(segs, seq)
-	}
-	sort.Slice(segs, func(i, j int) bool { return segs[i] < segs[j] })
-	return segs, nil
-}
-
-func syncDir(dir string) error {
-	d, err := os.Open(dir)
-	if err != nil {
-		return fmt.Errorf("tsdb: open dir: %w", err)
-	}
-	defer d.Close()
-	// Filesystems that cannot sync a directory handle are best-effort.
-	if err := d.Sync(); err != nil && !errors.Is(err, syscall.EINVAL) && !errors.Is(err, syscall.ENOTSUP) {
-		return fmt.Errorf("tsdb: sync dir: %w", err)
-	}
-	return nil
 }

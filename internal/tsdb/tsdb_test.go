@@ -1,6 +1,7 @@
 package tsdb
 
 import (
+	"errors"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -10,7 +11,18 @@ import (
 	"time"
 
 	"jarvis/internal/telemetry"
+	"jarvis/internal/wal"
 )
+
+// segmentFiles lists the log's segment files in dir, oldest first.
+func segmentFiles(t *testing.T, dir string) []string {
+	t.Helper()
+	segs, err := filepath.Glob(filepath.Join(dir, "*.wal"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return segs
+}
 
 func mkPoint(ts int64, counters map[string]int64, gauges map[string]float64) Point {
 	p := Point{TsNs: ts, Counters: map[string]int64{}, Gauges: map[string]float64{}, Histograms: map[string]telemetry.HistogramStats{}}
@@ -153,7 +165,7 @@ func TestTornTailTruncated(t *testing.T) {
 	db.Close()
 
 	// Tear the tail: append garbage half-record to the active segment.
-	seg := filepath.Join(dir, "00000001"+segSuffix)
+	seg := filepath.Join(dir, "00000001.wal")
 	f, err := os.OpenFile(seg, os.O_WRONLY|os.O_APPEND, 0o644)
 	if err != nil {
 		t.Fatal(err)
@@ -187,12 +199,12 @@ func TestCorruptSealedSegmentFatal(t *testing.T) {
 		}
 	}
 	db.Close()
-	segs, _ := listSegments(dir)
+	segs := segmentFiles(t, dir)
 	if len(segs) < 2 {
 		t.Fatalf("want multiple segments, got %d", len(segs))
 	}
 	// Flip a byte mid-way through the FIRST (sealed) segment.
-	seg := filepath.Join(dir, "00000001"+segSuffix)
+	seg := filepath.Join(dir, "00000001.wal")
 	data, _ := os.ReadFile(seg)
 	data[len(data)/2] ^= 0xff
 	os.WriteFile(seg, data, 0o644)
@@ -214,7 +226,7 @@ func TestRotationAndRetention(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	segs, _ := listSegments(dir)
+	segs := segmentFiles(t, dir)
 	if len(segs) > 3 { // 2 sealed + active
 		t.Fatalf("retention kept %d segments, want <= 3", len(segs))
 	}
@@ -236,6 +248,95 @@ func TestRotationAndRetention(t *testing.T) {
 	p, ok := db2.Latest()
 	if !ok || p.Counters["some.counter.with.a.long.name"] != 60*7 {
 		t.Fatalf("latest after retention reopen = %+v", p)
+	}
+}
+
+// TestEverySegmentDecodesAlone: after rotations, retention and a reopen,
+// each surviving segment opens with a full record, so it decodes without
+// the segments before it — what retention relies on. A series that never
+// changes is written only by full records, so it survives only if they
+// lead every segment.
+func TestEverySegmentDecodesAlone(t *testing.T) {
+	dir := t.TempDir()
+	opts := Options{SegmentBytes: 160, Retain: 3}
+	appendRange := func(from, to int64) {
+		db, err := Open(dir, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := from; i <= to; i++ {
+			p := mkPoint(i*1000, map[string]int64{"c": i * 7, "quiet": 1}, map[string]float64{"g": float64(i) / 4})
+			if err := db.Append(p); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := db.Close(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	appendRange(1, 40)
+	appendRange(41, 80)
+
+	segs := segmentFiles(t, dir)
+	if len(segs) != 4 { // 3 sealed + active
+		t.Fatalf("retention kept %d segments, want 4", len(segs))
+	}
+	for _, seg := range segs {
+		alone := t.TempDir()
+		data, err := os.ReadFile(seg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(filepath.Join(alone, filepath.Base(seg)), data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		db, err := Open(alone, Options{})
+		if err != nil {
+			t.Fatalf("segment %s alone: %v", filepath.Base(seg), err)
+		}
+		if n := db.Recovery().Points; n == 0 {
+			t.Fatalf("segment %s alone decoded no points", filepath.Base(seg))
+		}
+		for _, s := range db.Series("c", 0, 1<<62) {
+			i := s.TsNs / 1000
+			p, _ := db.EdgeBefore(s.TsNs)
+			if s.Value != float64(i*7) || p.Counters["quiet"] != 1 || p.Gauges["g"] != float64(i)/4 {
+				t.Fatalf("segment %s alone: point %d decoded as %+v", filepath.Base(seg), i, p)
+			}
+		}
+		db.Close()
+	}
+}
+
+// TestUndecodableSampleFailsOpen: a record whose checksum is valid but
+// whose payload is not a sample is damage a torn write cannot explain,
+// so Open refuses the history with ErrCorrupt.
+func TestUndecodableSampleFailsOpen(t *testing.T) {
+	dir := t.TempDir()
+	db, err := Open(dir, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := int64(1); i <= 3; i++ {
+		if err := db.Append(mkPoint(i*1000, map[string]int64{"c": i}, nil)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := db.Close(); err != nil {
+		t.Fatal(err)
+	}
+	l, err := wal.Open(dir, wal.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := l.Append([]byte{9, 1, 0}); err != nil { // kind 9 is no sample
+		t.Fatal(err)
+	}
+	if err := l.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := Open(dir, Options{}); !errors.Is(err, ErrCorrupt) {
+		t.Fatalf("Open over an undecodable sample = %v, want ErrCorrupt", err)
 	}
 }
 
@@ -511,6 +612,11 @@ func TestQuantileOverTime(t *testing.T) {
 	}
 	if p50 > int64(10*time.Millisecond) {
 		t.Fatalf("p50 = %v, want ~1ms bucket", time.Duration(p50))
+	}
+	// A window holding one point recorded nothing, whatever the
+	// histogram's lifetime count.
+	if _, ok := db.QuantileOverTime("lat", 0.99, 3*sec, 3*sec); ok {
+		t.Fatal("a one-point window reported a quantile")
 	}
 	if _, ok := db.QuantileOverTime("nope", 0.99, 0, 3*sec); ok {
 		t.Fatal("unknown histogram must not report a quantile")

@@ -195,7 +195,6 @@ func Open(dir string, opts Options) (*Log, error) {
 				return nil, fmt.Errorf("wal: truncate torn tail: %w", err)
 			}
 			l.rec.TruncatedBytes = total - good
-			mTruncatedBytes.Add(total - good)
 		}
 	}
 	l.rec.Segments = len(segs)
@@ -220,8 +219,6 @@ func Open(dir string, opts Options) (*Log, error) {
 		l.f, l.seq, l.size = f, seq, st.Size()
 	}
 	l.lastSync = time.Now()
-	mRecoveredRecords.Add(int64(l.rec.Records))
-	mSegments.SetInt(int64(len(l.sealed) + 1))
 	return l, nil
 }
 
@@ -282,7 +279,7 @@ func (l *Log) Append(payload []byte) error {
 	if l.closed {
 		return errors.New("wal: closed")
 	}
-	if l.size > 0 && l.size+int64(headerSize+len(payload)) > l.opts.SegmentBytes {
+	if !l.fitsLocked(len(payload)) {
 		if err := l.rotateLocked(); err != nil {
 			return err
 		}
@@ -300,7 +297,6 @@ func (l *Log) Append(payload []byte) error {
 	}
 	l.size += int64(need)
 	l.appended = true
-	mAppends.Inc()
 	switch l.opts.Policy {
 	case SyncEveryRecord:
 		return l.syncLocked()
@@ -327,8 +323,22 @@ func (l *Log) syncLocked() error {
 		return fmt.Errorf("wal: sync: %w", err)
 	}
 	l.lastSync = time.Now()
-	mSyncs.Inc()
 	return nil
+}
+
+// Fits reports whether an n-byte payload appends to the active segment
+// without rotating it first. A writer whose segments must each open with
+// a particular record checks it and calls Rotate itself.
+func (l *Log) Fits(n int) bool {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	return l.fitsLocked(n)
+}
+
+// fitsLocked is Fits with l.mu held: rotation happens between records,
+// never inside one, so an empty segment takes any record.
+func (l *Log) fitsLocked(n int) bool {
+	return l.size == 0 || l.size+int64(headerSize+n) <= l.opts.SegmentBytes
 }
 
 // Rotate seals the active segment and opens the next, applying retention.
@@ -353,7 +363,6 @@ func (l *Log) rotateLocked() error {
 	if err := l.openSegment(l.seq + 1); err != nil {
 		return err
 	}
-	mRotations.Inc()
 	// Retention: drop the oldest sealed segments beyond the cap.
 	if l.opts.Retain > 0 {
 		for len(l.sealed) > l.opts.Retain {
@@ -365,13 +374,11 @@ func (l *Log) rotateLocked() error {
 				return fmt.Errorf("wal: retention: %w", err)
 			}
 			l.sealed = l.sealed[1:]
-			mRetired.Inc()
 		}
 		if err := syncDir(l.dir); err != nil {
 			return err
 		}
 	}
-	mSegments.SetInt(int64(len(l.sealed) + 1))
 	return nil
 }
 
@@ -398,8 +405,6 @@ func (l *Log) Reset() error {
 	if err := l.openSegment(next); err != nil {
 		return err
 	}
-	mResets.Inc()
-	mSegments.SetInt(1)
 	return nil
 }
 

@@ -10,8 +10,6 @@ import (
 	"path/filepath"
 	"testing"
 	"time"
-
-	"jarvis/internal/telemetry"
 )
 
 func mustOpen(t *testing.T, dir string, opts Options) *Log {
@@ -74,9 +72,15 @@ func TestRotationSpansSegments(t *testing.T) {
 	l := mustOpen(t, dir, Options{SegmentBytes: 64})
 	var want []string
 	for i := 0; i < 20; i++ {
-		want = append(want, fmt.Sprintf("record-%02d-padding-padding", i))
+		rec := fmt.Sprintf("record-%02d-padding-padding", i)
+		want = append(want, rec)
+		// Fits predicts exactly the appends that rotate first.
+		fits, segs := l.Fits(len(rec)), l.Segments()
+		appendAll(t, l, rec)
+		if rotated := l.Segments() > segs; rotated == fits {
+			t.Fatalf("record %d: Fits = %v, but the append rotated: %v", i, fits, rotated)
+		}
 	}
-	appendAll(t, l, want...)
 	if l.Segments() < 2 {
 		t.Fatalf("expected rotation, have %d segment(s)", l.Segments())
 	}
@@ -271,30 +275,56 @@ func TestOversizeRecordRejected(t *testing.T) {
 	}
 }
 
+// syncCounter counts the fsyncs issued on the segments a Log opens.
+type syncCounter struct{ n int }
+
+type countingFile struct {
+	*os.File
+	c *syncCounter
+}
+
+func (f countingFile) Sync() error {
+	f.c.n++
+	return f.File.Sync()
+}
+
+func (c *syncCounter) openFile(name string, flag int, perm os.FileMode) (File, error) {
+	f, err := os.OpenFile(name, flag, perm)
+	if err != nil {
+		return nil, err
+	}
+	return countingFile{f, c}, nil
+}
+
 func TestSyncPolicies(t *testing.T) {
-	before := telemetry.Default.Snapshot().Counters["wal.syncs"]
-	l := mustOpen(t, t.TempDir(), Options{Policy: SyncEveryRecord})
+	var every syncCounter
+	l := mustOpen(t, t.TempDir(), Options{Policy: SyncEveryRecord, OpenFile: every.openFile})
 	appendAll(t, l, "a", "b", "c")
-	perRecord := telemetry.Default.Snapshot().Counters["wal.syncs"] - before
-	if perRecord < 3 {
-		t.Errorf("SyncEveryRecord synced %d times for 3 appends", perRecord)
+	if every.n != 3 {
+		t.Errorf("SyncEveryRecord synced %d times for 3 appends, want 3", every.n)
 	}
 
-	before = telemetry.Default.Snapshot().Counters["wal.syncs"]
-	l2 := mustOpen(t, t.TempDir(), Options{Policy: SyncOnRotate})
-	appendAll(t, l2, "a", "b", "c")
-	if onRotate := telemetry.Default.Snapshot().Counters["wal.syncs"] - before; onRotate != 0 {
-		t.Errorf("SyncOnRotate synced %d times without a rotation", onRotate)
+	var onRotate syncCounter
+	l2 := mustOpen(t, t.TempDir(), Options{Policy: SyncOnRotate, SegmentBytes: 20, OpenFile: onRotate.openFile})
+	appendAll(t, l2, "a", "b")
+	if onRotate.n != 0 {
+		t.Errorf("SyncOnRotate synced %d times without a rotation", onRotate.n)
+	}
+	// 9-byte frames in 20-byte segments: the third does not fit, so its
+	// append seals the first segment, which syncs it once.
+	appendAll(t, l2, "c")
+	if onRotate.n != 1 {
+		t.Errorf("SyncOnRotate synced %d times across one rotation, want 1", onRotate.n)
 	}
 
-	// SyncInterval with a zero-elapsed window still syncs once the
-	// interval passes.
-	before = telemetry.Default.Snapshot().Counters["wal.syncs"]
-	l3 := mustOpen(t, t.TempDir(), Options{Policy: SyncInterval, Interval: time.Nanosecond})
+	// SyncInterval syncs once the interval has elapsed since the last
+	// sync.
+	var interval syncCounter
+	l3 := mustOpen(t, t.TempDir(), Options{Policy: SyncInterval, Interval: time.Nanosecond, OpenFile: interval.openFile})
 	time.Sleep(time.Millisecond)
 	appendAll(t, l3, "a")
-	if n := telemetry.Default.Snapshot().Counters["wal.syncs"] - before; n == 0 {
-		t.Error("SyncInterval with an elapsed window did not sync")
+	if interval.n != 1 {
+		t.Errorf("SyncInterval with an elapsed window synced %d times, want 1", interval.n)
 	}
 }
 
